@@ -60,6 +60,7 @@ LoadResult RunClosedLoop(serve::AnnotationService& service,
       if (options.max_requests > 0 && n >= options.max_requests) break;
       int64_t id = options.first_request_id + n;
       Job job = source.Next(rng);
+      if (job.table == nullptr) break;
       Outcome out;
       out.key = job.key;
       out.due_ns = due_ns;
@@ -116,7 +117,7 @@ LoadResult RunClosedLoop(serve::AnnotationService& service,
   };
 
   std::vector<std::thread> callers;
-  for (int i = 0; i < options.callers; ++i) callers.emplace_back(caller, i);
+  for (int i = 0; i < kCallers; ++i) callers.emplace_back(caller, i);
   for (std::thread& t : callers) t.join();
 
   int64_t first_ns = end_ns;
@@ -188,7 +189,7 @@ LoadResult RunOpenLoop(serve::AnnotationService& service, JobSource& source,
     if (options.spans != nullptr) options.spans->Append(std::move(local_spans));
   };
   std::vector<std::thread> waiters;
-  for (int i = 0; i < options.waiters; ++i) waiters.emplace_back(waiter);
+  for (int i = 0; i < kOpenWaiters; ++i) waiters.emplace_back(waiter);
 
   std::vector<Span> dispatch_spans;
   std::vector<Span>* spans =

@@ -57,10 +57,13 @@ struct LoadResult {
   std::vector<DeferredCheck> deferred;
 };
 
+// Closed-loop callers; open-loop threads that wait on futures, oldest first.
+inline constexpr int kCallers = 4;
+inline constexpr int kOpenWaiters = 8;
+
 struct ClosedLoopOptions {
-  int callers = 4;
-  double seconds = 0.0;       // stop sending after this long...
-  int64_t max_requests = 0;   // ...or after this many (0: no cap)
+  double seconds = 0.0;       // stop sending after this long, after this
+  int64_t max_requests = 0;   // many (0: no cap), or when the source runs dry
   // Every request runs Preprocess then PredictProcessed in its caller
   // instead of going through Submit, so each layer call gets its own span.
   // (Mixing the two kinds in one phase puts eight busy threads on the
@@ -80,7 +83,6 @@ LoadResult RunClosedLoop(serve::AnnotationService& service,
 struct OpenLoopOptions {
   double rate_per_s = 0.0;
   double seconds = 0.0;
-  int waiters = 8;  // threads that wait on futures, oldest first
   SpanLog* spans = nullptr;
   uint64_t seed = 0;
   int stream = 0;

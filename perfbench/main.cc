@@ -1,18 +1,19 @@
 // kglink_perfbench: one end-to-end benchmark run of one workload.
 //
-//   kglink_perfbench --workload hot_repeat --seed 1 --seconds 6 --trace 0
+//   kglink_perfbench --workload hot_repeat --seed 1 --seconds 9 --trace 0
 //
 // Builds the world, index, corpus and a trained KgLinkAnnotator (default
-// encoder config), serves the workload through serve::AnnotationService
-// (or trains with KgLinkAnnotator::Fit), checks every answer, and prints
-// the metrics: one line each for people, then one JSON line. --trace 0
-// prints the end-to-end metrics; --trace 1 runs the workload untraced and
-// then traced, adds sequential per-layer replays, and prints the per-layer
-// metrics and the tracing overhead. Exits 1 when an output is wrong, 2 on
-// bad arguments.
+// encoder config), serves the workload through serve::AnnotationService,
+// checks every answer, and prints the metrics: one line each for people,
+// then one JSON line. --trace 0 sets up three times, serves a third of the
+// load after each set-up, and prints the end-to-end metrics; --trace 1
+// sets up once, runs the workload untraced and then traced, adds
+// sequential per-layer replays, and prints the per-layer metrics and the
+// tracing overhead. Exits 1 when an output is wrong, 2 on bad arguments.
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,51 +39,69 @@ namespace {
 // ---- Workloads ----------------------------------------------------------
 // Their reasons and the layer each one stresses are in README.md.
 
-enum class Shape { kClosedLoop, kOpenLoop, kTrain };
+enum class Shape { kClosedLoop, kOpenLoop };
 
 struct Workload {
   const char* name;
   Shape shape;
-  bool fresh;     // never-seen long tables instead of the hot pool
-  double slo_ms;  // latency limit for slo_met_share
+  bool fresh;  // never-seen long tables instead of the hot pool
+  // The workload's median p50_ms over 5 seeds on a 4-vCPU x86 VM when the
+  // benchmark was defined. slo_met_share's latency limit is kSloP50Multiple
+  // times this: fixed, so a slower program misses it more. At 4x it sits
+  // above every measured p99, so it catches a tail that grows, not drift.
+  double baseline_p50_ms;
 };
 
 constexpr Workload kWorkloads[] = {
-    {"hot_repeat", Shape::kClosedLoop, false, 25.0},
-    {"fresh_long", Shape::kClosedLoop, true, 60.0},
-    {"open_poisson", Shape::kOpenLoop, false, 25.0},
-    {"train_fit", Shape::kTrain, false, 25.0},
+    {"hot_repeat", Shape::kClosedLoop, false, 3.5},
+    {"fresh_long", Shape::kClosedLoop, true, 11.8},
+    {"open_poisson", Shape::kOpenLoop, false, 4.1},
 };
 
-constexpr int kCallers = 4;  // closed-loop callers
+constexpr double kSloP50Multiple = 4.0;
 constexpr int kWorkers = 4;  // service worker threads (nproc on the box)
+// The open loop's traced run adds a phase through a second service that
+// drains up to this many queued requests into one padded encoder batch.
+// The measured load stays sequential: with batching on, p99 across seeds
+// spread 20% at 4 and 34% at 8, too wide for a bound.
+constexpr int kOpenEncodeBatch = 4;
 constexpr double kZipfS = 1.1;
-// open_poisson's fixed arrival rate: about half of hot_repeat's capacity
-// on a 4-core x86 VM in its slower phases (~930 tables/s), 40% in its
-// faster ones (~1,200). Nearer saturation the queue magnifies the host's
-// speed drift into the tail: at 600/s p99 spread 25% across runs.
-constexpr double kOpenRatePerS = 450.0;
-constexpr int kOpenWaiters = 8;
-// Untraced runs set up this many times and report the median.
+// open_poisson's fixed arrival rate: about a third of hot_repeat's
+// capacity on a 4-core x86 VM (~1,000 tables/s; 860-1,200 as the host
+// drifts). Nearer saturation the queue magnifies the host's speed drift
+// into the tail: at 600/s p99 spread 25% across runs, and at 450/s three
+// runs in ten during a slow host phase read p99 27 ms against 13 ms.
+constexpr double kOpenRatePerS = 350.0;
+// Untraced runs set up this many times, report the median set-up time, and
+// serve a third of --seconds after each set-up. The host's speed drifts by
+// about a tenth over tens of seconds, so windows spread over the whole run
+// sample it more evenly than one stretch at its end.
 constexpr int kSetupReps = 3;
 // Discarded warm-up requests after the reference pass.
 constexpr int64_t kHotWarmupRequests = 1500;
 constexpr int64_t kFreshWarmupRequests = 160;
-// train_fit serves this many hot-pool requests for its serving metrics.
-constexpr int64_t kTrainServeRequests = 1500;
-constexpr size_t kFreshLookahead = 256;
+// fresh_long generates its measured tables before the clock starts, this
+// many per second of load: about twice the closed loop's pace on a
+// 4-vCPU VM (~280/s). A faster program that runs the pool dry ends the
+// load early; tables_per_s stays completed tables over the time they took.
+constexpr double kFreshTablesPerS = 600.0;
 constexpr int kFreshDeferEvery = 16;  // post-run check of every 16th table
 constexpr size_t kMaxReplayTables = 48;
 constexpr size_t kFreshReplayTables = 24;
 
-// Random streams of one run (see StreamSeed).
+// Random streams of one set-up (see StreamSeed).
 enum Stream : int {
   kWarmupStream = 1,
   kMeasuredStream = 2,
   kTracedStream = 3,
   kReplayStream = 4,
   kDecomposedStream = 5,
+  kBatchedStream = 6,
+  kNumStreams,
 };
+
+// Set-up `rep` of a run draws every stream apart from the other set-ups.
+int RepStream(Stream stream, int rep) { return stream + kNumStreams * rep; }
 
 // Request ids of the traced phases, disjoint so spans never collide.
 constexpr int64_t kDecomposedFirstId = int64_t{1} << 32;
@@ -99,7 +118,7 @@ struct Args {
 int Usage(const char* why) {
   std::fprintf(stderr,
                "error: %s\nusage: kglink_perfbench --workload "
-               "{hot_repeat|fresh_long|open_poisson|train_fit} --seed N "
+               "{hot_repeat|fresh_long|open_poisson} --seed N "
                "--seconds S --trace {0|1} [--spans-out PATH]\n",
                why);
   return 2;
@@ -142,10 +161,9 @@ struct Run {
   std::unique_ptr<Workbench> bench;
   std::unique_ptr<serve::AnnotationService> service;
   std::unique_ptr<HotPool> pool;
-  std::unique_ptr<FreshStream> fresh;
-  std::vector<double> setup_build_s;
+  std::unique_ptr<FreshPool> fresh;
+  std::vector<double> setup_s;      // per set-up, build through warm-up
   std::vector<double> train_rates;  // training tables x epochs / Fit s
-  double warmup_s = 0.0;
   int64_t attempted = 0;
   int64_t failed = 0;  // non-kOk or differs from the reference
 
@@ -161,40 +179,46 @@ struct Run {
       failed += CheckDeferred(*bench->annotator, r.deferred);
     }
   }
+
+  // The service goes first: it borrows the annotator.
+  void TearDown() {
+    service.reset();  // drains and joins the workers
+    pool.reset();
+    fresh.reset();
+    bench.reset();
+  }
 };
 
-// Builds world, index, corpus and annotator `reps` times (keeping the last),
-// starts the service, runs the reference pass and the warm-up.
-void SetUp(Run& run, int reps) {
+// Set-up `rep`: replaces the run's world, index, corpus and annotator with
+// newly built ones, starts the service, runs the reference pass and the
+// warm-up, and records the time all of it took. fresh_long also generates
+// the tables for `serve_seconds` of load.
+void SetUp(Run& run, int rep, double serve_seconds) {
   const Args& a = run.args;
-  for (int i = 0; i < reps; ++i) {
-    run.bench.reset();  // one world alive at a time
-    kglink::Stopwatch watch;
-    run.bench = BuildWorkbench();
-    run.setup_build_s.push_back(watch.ElapsedSeconds());
-    run.train_rates.push_back(run.bench->TrainTablesPerSecond());
-  }
+  run.TearDown();  // one world alive at a time
   kglink::Stopwatch watch;
+  run.bench = BuildWorkbench();
+  run.train_rates.push_back(run.bench->TrainTablesPerSecond());
   serve::ServiceOptions options;
   options.num_threads = kWorkers;
   run.service = std::make_unique<serve::AnnotationService>(
       run.bench->annotator.get(), options);
   core::KgLinkAnnotator& annotator = *run.bench->annotator;
   ClosedLoopOptions warm;
-  warm.callers = kCallers;
   warm.seconds = 1e9;
   warm.seed = a.seed;
-  warm.stream = kWarmupStream;
+  warm.stream = RepStream(kWarmupStream, rep);
   LoadResult warmup;
   if (a.workload->fresh) {
     // Warm on tables of their own stream, so the measured ones stay unseen.
-    FreshStream warm_tables(run.bench->world, annotator.label_names(), a.seed,
-                            kWarmupStream, kFreshWarmupRequests);
+    FreshPool warm_tables(run.bench->world, annotator.label_names(), a.seed,
+                          warm.stream, kFreshWarmupRequests);
     warm.max_requests = kFreshWarmupRequests;
     warmup = RunClosedLoop(*run.service, annotator, warm_tables, warm);
-    run.fresh = std::make_unique<FreshStream>(
-        run.bench->world, annotator.label_names(), a.seed, kMeasuredStream,
-        kFreshLookahead);
+    run.fresh = std::make_unique<FreshPool>(
+        run.bench->world, annotator.label_names(), a.seed,
+        RepStream(kMeasuredStream, rep),
+        static_cast<size_t>(std::ceil(kFreshTablesPerS * serve_seconds)));
   } else {
     run.pool = std::make_unique<HotPool>(run.bench->split.test, annotator,
                                          kZipfS);
@@ -202,38 +226,33 @@ void SetUp(Run& run, int reps) {
     warmup = RunClosedLoop(*run.service, annotator, *run.pool, warm);
   }
   for (const Outcome& o : warmup.outcomes) run.failed += o.mismatch ? 1 : 0;
-  run.warmup_s = watch.ElapsedSeconds();
+  run.setup_s.push_back(watch.ElapsedSeconds());
 }
 
-// One load of the workload's shape. `seconds` bounds time-driven shapes;
-// train_fit serves `requests` hot-pool requests instead.
-LoadResult Load(Run& run, double seconds, int64_t requests, int stream,
-                SpanLog* spans = nullptr, bool decompose = false,
+// One load of the workload's shape for `seconds`.
+LoadResult Load(Run& run, serve::AnnotationService& service, double seconds,
+                int stream, SpanLog* spans = nullptr, bool decompose = false,
                 int64_t first_id = 0) {
   const Args& a = run.args;
   if (a.workload->shape == Shape::kOpenLoop) {
     OpenLoopOptions o;
     o.rate_per_s = kOpenRatePerS;
     o.seconds = seconds;
-    o.waiters = kOpenWaiters;
     o.spans = spans;
     o.seed = a.seed;
     o.stream = stream;
     o.first_request_id = first_id;
-    return RunOpenLoop(*run.service, run.source(), o);
+    return RunOpenLoop(service, run.source(), o);
   }
-  const bool train = a.workload->shape == Shape::kTrain;
   ClosedLoopOptions o;
-  o.callers = kCallers;
-  o.seconds = train ? 1e9 : seconds;
-  o.max_requests = train ? requests : 0;
+  o.seconds = seconds;
   o.decompose = decompose;
   o.spans = spans;
   o.defer_every = a.workload->fresh ? kFreshDeferEvery : 0;
   o.seed = a.seed;
   o.stream = stream;
   o.first_request_id = first_id;
-  return RunClosedLoop(*run.service, *run.bench->annotator, run.source(), o);
+  return RunClosedLoop(service, *run.bench->annotator, run.source(), o);
 }
 
 template <typename Field>
@@ -253,68 +272,67 @@ double LatencyMs(const Outcome& o) {
 
 double Ratio(double num, double den) { return den > 0 ? num / den : 0.0; }
 
+std::string FormatMs(double ms) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.4g", ms);
+  return buf;
+}
+
 // ---- End-to-end run (--trace 0) -------------------------------------------
 
 void EndToEnd(Run& run, Report* report) {
   const Args& a = run.args;
-  SetUp(run, kSetupReps);
-  const double setup_s = Median(run.setup_build_s) + run.warmup_s;
-
-  LoadResult r = Load(run, a.seconds, kTrainServeRequests, kMeasuredStream);
-  run.Tally(r);
-  std::vector<double> train_rates = run.train_rates;
-  if (a.workload->shape == Shape::kTrain) {
-    // The workload proper: back-to-back Fits of fresh annotators, as many
-    // as fit in --seconds at the set-up Fits' pace (at least one), pooled
-    // with the set-up Fits (the same work under the same conditions).
-    const double fits = a.seconds / Median(run.setup_build_s);
-    for (int i = 0; i < std::max(1, static_cast<int>(fits + 0.5)); ++i) {
-      double fit_s = 0.0;
-      int epochs = 0;
-      FitAnnotator(*run.bench, &fit_s, &epochs);
-      train_rates.push_back(
-          static_cast<double>(run.bench->split.train.tables.size()) * epochs /
-          fit_s);
-    }
-  }
-
+  const double window_s = a.seconds / kSetupReps;
+  const double slo_ms = kSloP50Multiple * a.workload->baseline_p50_ms;
   int64_t ok = 0;
   int64_t slo_met = 0;
   int64_t labeled = 0;
   int64_t correct = 0;
-  std::set<int64_t> scored;  // accuracy counts each distinct table once
-  for (const Outcome& o : r.outcomes) {
-    bool good = o.status == serve::RequestStatus::kOk && !o.mismatch;
-    ok += o.status == serve::RequestStatus::kOk ? 1 : 0;
-    slo_met += good && LatencyMs(o) <= a.workload->slo_ms ? 1 : 0;
-    if (scored.insert(o.key).second) {
-      labeled += o.labeled;
-      correct += o.correct;
+  double elapsed_s = 0.0;
+  std::vector<double> latency;
+  for (int rep = 0; rep < kSetupReps; ++rep) {
+    SetUp(run, rep, window_s);
+    LoadResult r =
+        Load(run, *run.service, window_s, RepStream(kMeasuredStream, rep));
+    run.Tally(r);  // now: its deferred checks use this set-up's annotator
+    elapsed_s += r.elapsed_s;
+    // Accuracy counts each distinct table once per window.
+    std::set<int64_t> scored;
+    for (const Outcome& o : r.outcomes) {
+      bool good = o.status == serve::RequestStatus::kOk && !o.mismatch;
+      ok += o.status == serve::RequestStatus::kOk ? 1 : 0;
+      slo_met += good && LatencyMs(o) <= slo_ms ? 1 : 0;
+      latency.push_back(LatencyMs(o));
+      if (scored.insert(o.key).second) {
+        labeled += o.labeled;
+        correct += o.correct;
+      }
     }
   }
-  const int64_t n = static_cast<int64_t>(r.outcomes.size());
-  std::vector<double> latency = Collect(r, LatencyMs);
-  report->Add("tables_per_s", Ratio(static_cast<double>(ok), r.elapsed_s),
+
+  const int64_t n = static_cast<int64_t>(latency.size());
+  report->Add("tables_per_s", Ratio(static_cast<double>(ok), elapsed_s),
               "1/s", n,
-              "completed kOk tables over first send to last completion");
+              "completed kOk tables over first send to last completion, "
+              "summed over the windows");
   report->Add("p50_ms", Quantile(latency, 0.50), "ms", n, "caller-observed");
   report->Add("p99_ms", Quantile(latency, 0.99), "ms", n, "caller-observed");
   report->Add("slo_met_share",
               Ratio(static_cast<double>(slo_met), static_cast<double>(n)),
               "share", n,
-              "kOk, correct and within " +
-                  std::to_string(static_cast<int>(a.workload->slo_ms)) +
-                  " ms, over requests sent");
+              "kOk, correct and within " + FormatMs(slo_ms) +
+                  " ms (4 x baseline p50), over requests sent");
   report->Add("accuracy",
               Ratio(static_cast<double>(correct), static_cast<double>(labeled)),
               "share", labeled,
-              "served predictions vs gold, per column of each distinct table");
-  report->Add("train_tables_per_s", Median(train_rates), "1/s",
-              static_cast<int64_t>(train_rates.size()),
-              "median over Fits: training tables x epochs / Fit s");
-  report->Add("setup_s", setup_s, "s", kSetupReps,
-              "median world+index+corpus+Fit, plus reference pass and "
-              "warm-up");
+              "served predictions vs gold, per column of each distinct table "
+              "in a window");
+  report->Add("train_tables_per_s", Median(run.train_rates), "1/s",
+              static_cast<int64_t>(run.train_rates.size()),
+              "median over the set-ups' Fits: training tables x epochs / "
+              "Fit s");
+  report->Add("setup_s", Median(run.setup_s), "s", kSetupReps,
+              "median of world+index+corpus+Fit, reference pass and warm-up");
   report->Add("peak_rss_mb", PeakRssMb(), "MB");
 }
 
@@ -326,10 +344,18 @@ struct Counters {
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   int64_t cache_evictions = 0;
+  int64_t drained = 0;        // requests workers drained with encode_batch > 1
+  int64_t drained_alone = 0;  // ...of them in a drain of one
 
   static Counters Read(const core::KgLinkAnnotator& annotator) {
     auto& registry = kglink::obs::MetricsRegistry::Global();
     Counters c;
+    // Same buckets as the service's registration: one bucket per size 1.
+    const kglink::obs::Histogram& batches = registry.GetHistogram(
+        "serve.encode.batch_size",
+        kglink::obs::HistogramBuckets::Exponential(1, 2, 7));
+    c.drained = static_cast<int64_t>(batches.sum());
+    c.drained_alone = batches.bucket_count(0);
     c.topk_calls = registry.GetCounter("search.topk.calls").value();
     c.tables_processed =
         registry.GetCounter("pipeline.tables.processed").value();
@@ -343,31 +369,25 @@ struct Counters {
 };
 
 // The tables the standalone replays run over: fresh ones of their own
-// stream for fresh_long, the training split for train_fit (training-shaped
-// sequences), else the hot pool.
-std::vector<ReplayTable> ReplayTables(Run& run, std::vector<Job>* jobs) {
-  std::vector<ReplayTable> tables;
+// stream for fresh_long, else the hot pool.
+std::vector<const table::Table*> ReplayTables(Run& run,
+                                              std::vector<Job>* jobs) {
+  std::vector<const table::Table*> tables;
   const Workbench& bench = *run.bench;
   if (run.args.workload->fresh) {
-    {
-      // Destroyed before the replays start, so no table is generated
-      // while they are timed; the jobs keep their tables alive.
-      FreshStream stream(bench.world, bench.annotator->label_names(),
-                         run.args.seed, kReplayStream, kFreshReplayTables);
-      Rng unused(0);
-      for (size_t i = 0; i < kFreshReplayTables; ++i) {
-        jobs->push_back(stream.Next(unused));
-      }
+    // The jobs keep their tables alive after the pool is gone.
+    FreshPool pool(bench.world, bench.annotator->label_names(),
+                   run.args.seed, kReplayStream, kFreshReplayTables);
+    Rng unused(0);
+    for (size_t i = 0; i < kFreshReplayTables; ++i) {
+      jobs->push_back(pool.Next(unused));
     }
-    for (const Job& job : *jobs) tables.push_back({job.table, job.gold});
+    for (const Job& job : *jobs) tables.push_back(job.table);
     return tables;
   }
-  const table::Corpus& corpus = run.args.workload->shape == Shape::kTrain
-                                    ? bench.split.train
-                                    : bench.split.test;
+  const table::Corpus& corpus = bench.split.test;
   for (size_t i = 0; i < corpus.tables.size() && i < kMaxReplayTables; ++i) {
-    tables.push_back(
-        {&corpus.tables[i].table, &corpus.tables[i].column_labels});
+    tables.push_back(&corpus.tables[i].table);
   }
   return tables;
 }
@@ -391,50 +411,48 @@ void PrintSpanTable(const std::vector<KindSummary>& load,
 
 void Traced(Run& run, Report* report) {
   const Args& a = run.args;
-  SetUp(run, 1);
+  SetUp(run, 0, a.seconds);
   core::KgLinkAnnotator& annotator = *run.bench->annotator;
-  // Closed loops split the time three ways: untraced, traced through the
-  // service, and traced with every request decomposed into layer calls.
-  // The open loop has no decomposed phase: requests bypassing the queue
-  // would change the queueing it exists to show.
+  // The time is split three ways: untraced, traced through the service,
+  // and a third phase. In closed loops every request of the third phase is
+  // decomposed into layer calls. The open loop cannot decompose (requests
+  // bypassing the queue would change the queueing it exists to show); its
+  // third phase goes through a service with padded encoder batching, the
+  // only place the batched path runs.
   const bool closed = a.workload->shape != Shape::kOpenLoop;
-  const int phases = closed ? 3 : 2;
-  const double seconds = a.seconds / phases;
-  const int64_t requests = kTrainServeRequests / phases;
+  constexpr int kPhases = 3;
+  const double seconds = a.seconds / kPhases;
+  serve::AnnotationService& service = *run.service;
 
   // The untraced baseline the overhead is measured against.
-  LoadResult base = Load(run, seconds, requests, kMeasuredStream);
-  run.Tally(base);
+  LoadResult base = Load(run, service, seconds, kMeasuredStream);
 
   SpanLog spans;
   Counters before = Counters::Read(annotator);
-  LoadResult traced =
-      Load(run, seconds, requests, kTracedStream, &spans);
-  run.Tally(traced);
-  LoadResult decomposed;
+  LoadResult traced = Load(run, service, seconds, kTracedStream, &spans);
+  LoadResult decomposed;  // closed loops
+  LoadResult batched;     // the open loop
   if (closed) {
-    decomposed = Load(run, seconds, requests, kDecomposedStream, &spans,
+    decomposed = Load(run, service, seconds, kDecomposedStream, &spans,
                       /*decompose=*/true, kDecomposedFirstId);
-    run.Tally(decomposed);
+  } else {
+    serve::ServiceOptions options;
+    options.num_threads = kWorkers;
+    options.encode_batch = kOpenEncodeBatch;
+    serve::AnnotationService batching(&annotator, options);
+    batched = Load(run, batching, seconds, kBatchedStream);
   }
   Counters after = Counters::Read(annotator);
-  if (a.workload->shape == Shape::kTrain) {
-    double fit_s = 0.0;
-    int epochs = 0;
-    int64_t start_ns = NowNs();
-    FitAnnotator(*run.bench, &fit_s, &epochs);
-    spans.Append({{-1, SpanKind::kFit, SpanKind::kNone, Phase::kLoad,
-                   start_ns, NowNs(), epochs}});
+  // Tallied only now: the deferred checks re-annotate tables through the
+  // same layers and would add to the counters read above.
+  for (const LoadResult* r : {&base, &traced, &decomposed, &batched}) {
+    run.Tally(*r);
   }
 
   // Standalone replays.
   std::vector<Job> replay_jobs;
-  ReplayOptions replay;
-  replay.training_lengths = a.workload->shape == Shape::kTrain;
-  replay.seed = a.seed;
-  replay.first_request_id = kReplayFirstId;
-  RunReplays(*run.bench, annotator,
-             ReplayTables(run, &replay_jobs), replay, &spans);
+  RunReplays(*run.bench, annotator, ReplayTables(run, &replay_jobs), a.seed,
+             kReplayFirstId, &spans);
 
   std::vector<Span> all = spans.Take();
   if (!a.spans_out.empty() && !WriteSpans(all, a.spans_out)) {
@@ -474,6 +492,9 @@ void Traced(Run& run, Report* report) {
             static_cast<double>(processed));
   const int64_t hits = after.cache_hits - before.cache_hits;
   const int64_t lookups = hits + after.cache_misses - before.cache_misses;
+  const int64_t drained = after.drained - before.drained;
+  const int64_t drained_in_batches =
+      drained - (after.drained_alone - before.drained_alone);
 
   std::vector<double> submit_us;
   for (const Span& s : all) {
@@ -491,6 +512,8 @@ void Traced(Run& run, Report* report) {
   };
   std::vector<double> queue_us = Collect(traced, queue, true);
   std::vector<double> gap_us = Collect(traced, gap, true);
+  std::vector<double> batched_gap_us = Collect(batched, gap);
+  std::vector<double> batched_ms = Collect(batched, LatencyMs);
   std::vector<double> late_ms = Collect(traced, late);
   std::vector<double> base_work_us = Collect(base, work, true);
   double max_depth = 0;
@@ -547,6 +570,21 @@ void Traced(Run& run, Report* report) {
               "service-reported queue_us");
   report->Add("serve.max_queue_depth", max_depth, "count", nt,
               "sampled after each Submit");
+  const int64_t nb = static_cast<int64_t>(batched.outcomes.size());
+  const std::string batch_note =
+      closed ? "no batched phase on closed loops"
+             : "open loop through a service with encode_batch " +
+                   std::to_string(kOpenEncodeBatch);
+  report->Add("serve.batched_share",
+              Ratio(static_cast<double>(drained_in_batches),
+                    static_cast<double>(drained)),
+              "share", drained,
+              "requests drained in padded batches of 2+; " + batch_note);
+  report->Add("serve.batched_p99_ms", Quantile(batched_ms, 0.99), "ms", nb,
+              "caller-observed; " + batch_note);
+  report->Add("serve.batched_report_gap_us_p99",
+              Quantile(batched_gap_us, 0.99), "us", nb,
+              "caller latency - AnnotationResult::total_us(); " + batch_note);
   report->Add("serve.work_us", Mean(Collect(traced, work, true)), "us", nq,
               "service-reported work_us, mean");
   report->Add("serve.report_gap_us_p50", Quantile(gap_us, 0.5), "us", nq,
@@ -585,7 +623,7 @@ int Main(int argc, char** argv) {
   } else {
     EndToEnd(run, &report);
   }
-  run.service.reset();  // drains and joins the workers
+  run.TearDown();
   const bool correct =
       run.failed == 0 && run.attempted > 0 && report.AllFinite();
   report.PrintLines(stdout);

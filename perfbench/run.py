@@ -3,7 +3,7 @@
 
 Run from the root of a kglink source tree:
 
-    python3 perfbench/run.py --workload hot_repeat --seed 1 --seconds 6 --trace 0
+    python3 perfbench/run.py --workload hot_repeat --seed 1 --seconds 9 --trace 0
 
 The executable is built under .bench_build/perfbench (configured once, then
 rebuilt incrementally on every run). Its output is passed through; the last

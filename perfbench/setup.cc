@@ -8,14 +8,6 @@
 
 namespace perfbench {
 
-namespace {
-
-// Fresh tables are generated this many at a time (one corpus generator
-// call, which also builds its out-of-KG lexicon).
-constexpr int kFreshBatch = 16;
-
-}  // namespace
-
 uint64_t StreamSeed(uint64_t seed, uint64_t stream, uint64_t index) {
   Rng rng(seed ^ (stream * 0x9e3779b97f4a7c15ULL) ^
           (index * 0xbf58476d1ce4e5b9ULL));
@@ -43,21 +35,14 @@ std::unique_ptr<Workbench> BuildWorkbench() {
       bench->world, data::CorpusOptions::SemTabDefaults(200));
   Rng split_rng(2024);
   bench->split = table::StratifiedSplit(corpus, 0.7, 0.1, split_rng);
-  bench->annotator =
-      FitAnnotator(*bench, &bench->fit_s, &bench->fit_epochs);
-  return bench;
-}
-
-std::unique_ptr<core::KgLinkAnnotator> FitAnnotator(const Workbench& bench,
-                                                    double* fit_s,
-                                                    int* epochs) {
-  auto annotator = std::make_unique<core::KgLinkAnnotator>(
-      &bench.world.kg, &bench.engine, AnnotatorOptions());
+  bench->annotator = std::make_unique<core::KgLinkAnnotator>(
+      &bench->world.kg, &bench->engine, AnnotatorOptions());
   kglink::Stopwatch watch;
-  annotator->Fit(bench.split.train, bench.split.valid);
-  *fit_s = watch.ElapsedSeconds();
-  *epochs = static_cast<int>(annotator->epoch_stats().size());
-  return annotator;
+  bench->annotator->Fit(bench->split.train, bench->split.valid);
+  bench->fit_s = watch.ElapsedSeconds();
+  bench->fit_epochs =
+      static_cast<int>(bench->annotator->epoch_stats().size());
+  return bench;
 }
 
 HotPool::HotPool(const table::Corpus& pool, core::KgLinkAnnotator& annotator,
@@ -80,74 +65,41 @@ Job HotPool::Next(Rng& rng) {
           &references_[i], {}};
 }
 
-FreshStream::FreshStream(const data::World& world,
-                         const std::vector<std::string>& label_names,
-                         uint64_t seed, int stream, size_t lookahead)
-    : world_(world),
-      label_names_(label_names),
-      seed_(seed),
-      stream_(stream),
-      lookahead_(lookahead),
-      producer_([this] { Produce(); }) {
-  std::unique_lock<std::mutex> lock(mu_);
-  ready_cv_.wait(lock, [&] { return ready_.size() >= lookahead_; });
-}
-
-FreshStream::~FreshStream() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  space_cv_.notify_all();
-  ready_cv_.notify_all();
-  producer_.join();
-}
-
-Job FreshStream::Next(Rng& /*rng*/) {
-  std::shared_ptr<const GoldTable> next;
-  int64_t key = 0;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    ready_cv_.wait(lock, [&] { return !ready_.empty(); });
-    next = std::move(ready_.front());
-    ready_.pop_front();
-    key = taken_++;
-  }
-  space_cv_.notify_one();
-  return {key, &next->table, &next->gold, nullptr, next};
-}
-
-void FreshStream::Produce() {
+FreshPool::FreshPool(const data::World& world,
+                     const std::vector<std::string>& label_names,
+                     uint64_t seed, int stream, size_t count) {
   std::unordered_map<std::string, int> label_ids;
-  for (size_t i = 0; i < label_names_.size(); ++i) {
-    label_ids.emplace(label_names_[i], static_cast<int>(i));
+  for (size_t i = 0; i < label_names.size(); ++i) {
+    label_ids.emplace(label_names[i], static_cast<int>(i));
   }
-  for (uint64_t batch = 0;; ++batch) {
-    data::CorpusOptions options = data::CorpusOptions::SemTabDefaults(
-        kFreshBatch, StreamSeed(seed_, static_cast<uint64_t>(stream_), batch));
-    options.min_rows = 100;
-    options.max_rows = 200;
-    table::Corpus corpus = data::GenerateSemTabCorpus(world_, options);
-    for (table::LabeledTable& lt : corpus.tables) {
-      auto gold = std::make_shared<GoldTable>();
-      for (int label : lt.column_labels) {
-        auto it = label == table::kUnlabeled
-                      ? label_ids.end()
-                      : label_ids.find(
-                            corpus.label_names[static_cast<size_t>(label)]);
-        gold->gold.push_back(it == label_ids.end() ? table::kUnlabeled
-                                                   : it->second);
-      }
-      gold->table = std::move(lt.table);
-      std::unique_lock<std::mutex> lock(mu_);
-      space_cv_.wait(lock,
-                     [&] { return stopping_ || ready_.size() < lookahead_; });
-      if (stopping_) return;
-      ready_.push_back(std::move(gold));
-      lock.unlock();
-      ready_cv_.notify_all();
+  data::CorpusOptions options = data::CorpusOptions::SemTabDefaults(
+      static_cast<int>(count),
+      StreamSeed(seed, static_cast<uint64_t>(stream), 0));
+  options.min_rows = 100;
+  options.max_rows = 200;
+  table::Corpus corpus = data::GenerateSemTabCorpus(world, options);
+  for (table::LabeledTable& lt : corpus.tables) {
+    auto gold = std::make_shared<GoldTable>();
+    for (int label : lt.column_labels) {
+      auto it = label == table::kUnlabeled
+                    ? label_ids.end()
+                    : label_ids.find(
+                          corpus.label_names[static_cast<size_t>(label)]);
+      gold->gold.push_back(it == label_ids.end() ? table::kUnlabeled
+                                                 : it->second);
     }
+    gold->table = std::move(lt.table);
+    tables_.push_back(std::move(gold));
   }
+}
+
+Job FreshPool::Next(Rng& /*rng*/) {
+  size_t i = taken_.fetch_add(1);
+  if (i >= tables_.size()) return {};
+  // The slot is released here, so a served table lives only as long as
+  // its Job (or a deferred check) holds it.
+  std::shared_ptr<const GoldTable> next = std::move(tables_[i]);
+  return {static_cast<int64_t>(i), &next->table, &next->gold, nullptr, next};
 }
 
 }  // namespace perfbench

@@ -4,13 +4,10 @@
 #ifndef PERFBENCH_SETUP_H_
 #define PERFBENCH_SETUP_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/annotator.h"
@@ -60,14 +57,9 @@ struct Workbench {
   double TrainTablesPerSecond() const;
 };
 
-// Builds world, index and corpus, then fits an annotator.
+// Builds world, index and corpus, then fits an annotator on the
+// train/valid split.
 std::unique_ptr<Workbench> BuildWorkbench();
-
-// Fits a fresh annotator on `bench`'s train/valid split (the train_fit
-// workload's unit of work). Sets *fit_s and *epochs.
-std::unique_ptr<core::KgLinkAnnotator> FitAnnotator(const Workbench& bench,
-                                                    double* fit_s,
-                                                    int* epochs);
 
 // A generated table with gold labels in the annotator's label space
 // (table::kUnlabeled where the label is unknown to the model).
@@ -110,35 +102,20 @@ class HotPool : public JobSource {
 };
 
 // Never-seen SemTab-like tables of 100-200 rows over the same world,
-// generated from (seed, stream) in batches by a background thread that
-// keeps `lookahead` tables ready; each table is handed out once. The
-// constructor returns once the first `lookahead` tables exist.
-class FreshStream : public JobSource {
+// generated from (seed, stream) by one corpus-generator call in the
+// constructor, so no table is generated while requests are timed. Each
+// table is handed out once; then Next returns a Job with a null table.
+class FreshPool : public JobSource {
  public:
-  FreshStream(const data::World& world,
-              const std::vector<std::string>& label_names, uint64_t seed,
-              int stream, size_t lookahead);
-  ~FreshStream() override;
-  FreshStream(const FreshStream&) = delete;
-  FreshStream& operator=(const FreshStream&) = delete;
+  FreshPool(const data::World& world,
+            const std::vector<std::string>& label_names, uint64_t seed,
+            int stream, size_t count);
 
   Job Next(Rng& rng) override;
 
  private:
-  void Produce();
-
-  const data::World& world_;
-  const std::vector<std::string>& label_names_;
-  const uint64_t seed_;
-  const int stream_;
-  const size_t lookahead_;
-  std::mutex mu_;
-  std::condition_variable ready_cv_;  // a table was added, or stopping
-  std::condition_variable space_cv_;  // a table was taken, or stopping
-  std::deque<std::shared_ptr<const GoldTable>> ready_;
-  int64_t taken_ = 0;  // tables handed out so far
-  bool stopping_ = false;
-  std::thread producer_;  // last: starts after the members it uses
+  std::vector<std::shared_ptr<const GoldTable>> tables_;
+  std::atomic<size_t> taken_{0};
 };
 
 }  // namespace perfbench

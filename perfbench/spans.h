@@ -24,7 +24,6 @@ enum class SpanKind : uint8_t {
   kTopK,       // SearchEngine::TopK over the table's string cells
   kForward,    // TransformerEncoder::Forward over the table's sequences
   kTrainStep,  // Forward + Backward + AdamW step over the same sequences
-  kFit,        // KgLinkAnnotator::Fit
   kNone,
 };
 inline constexpr int kNumSpanKinds = static_cast<int>(SpanKind::kNone);

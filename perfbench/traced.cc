@@ -25,7 +25,6 @@ const char* SpanName(SpanKind kind) {
     case SpanKind::kTopK: return "search.topk";
     case SpanKind::kForward: return "nn.forward";
     case SpanKind::kTrainStep: return "nn.train_step";
-    case SpanKind::kFit: return "core.fit";
     case SpanKind::kNone: break;
   }
   return "none";
@@ -88,8 +87,8 @@ bool WriteSpans(const std::vector<Span>& spans, const std::string& path) {
 }
 
 void RunReplays(const Workbench& bench, core::KgLinkAnnotator& annotator,
-                const std::vector<ReplayTable>& tables,
-                const ReplayOptions& options, SpanLog* spans) {
+                const std::vector<const table::Table*>& tables, uint64_t seed,
+                int64_t first_request_id, SpanLog* spans) {
   const core::KgLinkOptions config = AnnotatorOptions();
   // Serialized lengths do not depend on the vocabulary (every word is one
   // token, known or not), so a specials-only vocabulary reproduces the
@@ -100,7 +99,7 @@ void RunReplays(const Workbench& bench, core::KgLinkAnnotator& annotator,
   encoder_config.vocab_size = config.max_vocab;
   encoder_config.max_seq_len =
       std::max(encoder_config.max_seq_len, config.serializer.max_seq_len);
-  Rng rng(StreamSeed(options.seed, 9, 0));
+  Rng rng(StreamSeed(seed, 9, 0));
   nn::TransformerEncoder encoder(encoder_config, rng);
   nn::AdamWOptions adam;
   adam.lr = config.lr;
@@ -115,8 +114,8 @@ void RunReplays(const Workbench& bench, core::KgLinkAnnotator& annotator,
                    units});
   };
   for (size_t i = 0; i < tables.size(); ++i) {
-    const table::Table& t = *tables[i].table;
-    int64_t id = options.first_request_id + static_cast<int64_t>(i);
+    const table::Table& t = *tables[i];
+    int64_t id = first_request_id + static_cast<int64_t>(i);
 
     int64_t start_ns = NowNs();
     kglink::linker::ProcessedTable processed = annotator.Preprocess(t);
@@ -124,15 +123,6 @@ void RunReplays(const Workbench& bench, core::KgLinkAnnotator& annotator,
     annotator.PredictProcessed(processed);
     int64_t predicted_ns = NowNs();
 
-    std::vector<std::string> label_texts;
-    if (options.training_lengths) {
-      for (int label : *tables[i].labels) {
-        label_texts.push_back(
-            label == table::kUnlabeled
-                ? std::string()
-                : annotator.label_names()[static_cast<size_t>(label)]);
-      }
-    }
     struct Sequence {
       std::vector<int> tokens;
       std::vector<int> segments;
@@ -140,8 +130,7 @@ void RunReplays(const Workbench& bench, core::KgLinkAnnotator& annotator,
     std::vector<Sequence> sequences;
     int64_t tokens = 0;
     for (core::SerializedTable& chunk : serializer.Serialize(
-             processed, core::LabelSlot::kMask,
-             options.training_lengths ? &label_texts : nullptr,
+             processed, core::LabelSlot::kMask, nullptr,
              config.use_candidate_types)) {
       sequences.push_back({std::move(chunk.tokens), std::move(chunk.segments)});
     }

@@ -13,29 +13,16 @@
 
 namespace perfbench {
 
-struct ReplayTable {
-  const table::Table* table = nullptr;
-  // Gold labels in the annotator's label space. Used only when the replay
-  // serializes with label slots sized to the label text, as training does.
-  const std::vector<int>* labels = nullptr;
-};
-
-struct ReplayOptions {
-  // Serialize with training-shaped label slots instead of one [MASK].
-  bool training_lengths = false;
-  uint64_t seed = 0;
-  int64_t first_request_id = 0;
-};
-
 // For each table, in order: Preprocess, PredictProcessed, SearchEngine::TopK
 // on every string cell (what Process would pay if no lookup hit the cell
-// cache), then a standalone encoder with the annotator's config runs
-// Forward, and Forward + Backward + AdamW step, over the token sequences
-// the annotator's serializer makes of the table. Records phase kStandalone
-// spans under one kReplay root per table.
+// cache), then a standalone encoder with the annotator's config, seeded
+// from `seed`, runs Forward, and Forward + Backward + AdamW step, over the
+// token sequences the annotator's serializer makes of the table. Records
+// phase kStandalone spans under one kReplay root per table, with request
+// ids counting up from `first_request_id`.
 void RunReplays(const Workbench& bench, core::KgLinkAnnotator& annotator,
-                const std::vector<ReplayTable>& tables,
-                const ReplayOptions& options, SpanLog* spans);
+                const std::vector<const table::Table*>& tables, uint64_t seed,
+                int64_t first_request_id, SpanLog* spans);
 
 }  // namespace perfbench
 
