@@ -207,23 +207,17 @@ void InitObservabilityFromEnv() {
     }
     const char* profile = std::getenv("KGLINK_PROFILE");
     if (profile != nullptr && profile[0] != '\0') {
-      if (!obs::kProfilerCompiledIn) {
-        std::fprintf(stderr,
-                     "KGLINK_PROFILE set but this build has no profiler "
-                     "(configure -DKGLINK_ENABLE_PROFILER=ON)\n");
+      ProfilePrefix() = profile;
+      obs::ProfilerOptions opts;
+      const char* hz = std::getenv("KGLINK_PROFILE_HZ");
+      if (hz != nullptr && hz[0] != '\0') opts.hz = std::atoi(hz);
+      Status s = obs::Profiler::Global().Start(opts);
+      if (!s.ok()) {
+        std::fprintf(stderr, "profiler start failed: %s\n",
+                     s.ToString().c_str());
+        ProfilePrefix().clear();
       } else {
-        ProfilePrefix() = profile;
-        obs::ProfilerOptions opts;
-        const char* hz = std::getenv("KGLINK_PROFILE_HZ");
-        if (hz != nullptr && hz[0] != '\0') opts.hz = std::atoi(hz);
-        Status s = obs::Profiler::Global().Start(opts);
-        if (!s.ok()) {
-          std::fprintf(stderr, "profiler start failed: %s\n",
-                       s.ToString().c_str());
-          ProfilePrefix().clear();
-        } else {
-          std::atexit(ExportProfileAtExit);
-        }
+        std::atexit(ExportProfileAtExit);
       }
     }
     return true;

@@ -935,7 +935,7 @@ int ExportObservability(const Args& args, int command_rc) {
                   args.slow_log_path.c_str());
     }
   }
-  if (!args.profile_prefix.empty() && obs::kProfilerCompiledIn) {
+  if (!args.profile_prefix.empty()) {
     obs::Profiler& profiler = obs::Profiler::Global();
     profiler.Stop();
     const std::string collapsed = args.profile_prefix + ".collapsed";
@@ -1018,19 +1018,13 @@ int main(int argc, char** argv) {
     }
   }
   if (!args.profile_prefix.empty()) {
-    if (!obs::kProfilerCompiledIn) {
-      std::fprintf(stderr,
-                   "warning: built with KGLINK_ENABLE_PROFILER=OFF; "
-                   "--profile will record nothing\n");
-    } else {
-      obs::ProfilerOptions popts;
-      popts.hz = args.profile_hz;
-      Status s = obs::Profiler::Global().Start(popts);
-      if (!s.ok()) {
-        std::fprintf(stderr, "cannot start profiler: %s\n",
-                     s.ToString().c_str());
-        return 1;
-      }
+    obs::ProfilerOptions popts;
+    popts.hz = args.profile_hz;
+    Status s = obs::Profiler::Global().Start(popts);
+    if (!s.ok()) {
+      std::fprintf(stderr, "cannot start profiler: %s\n",
+                   s.ToString().c_str());
+      return 1;
     }
   }
   if (!args.explain_dir.empty()) {
@@ -1042,11 +1036,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     obs::ProvenanceRecorder::Global().Start();
-    if (!obs::ProvenanceRecorder::Global().enabled()) {
-      std::fprintf(stderr,
-                   "warning: built with KGLINK_ENABLE_PROVENANCE=OFF; "
-                   "--explain will record nothing\n");
-    }
   }
   return ExportObservability(args, RunCommand(args));
 }

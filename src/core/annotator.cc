@@ -10,8 +10,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
-#include "obs/request_telemetry.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "robust/fault_injector.h"
 #include "util/csv.h"
 #include "util/stopwatch.h"
@@ -141,7 +140,7 @@ AnnotateOutcome KgLinkAnnotator::AnnotateTable(const table::Table& t,
   }
 
   {
-    KGLINK_STAGE_TIMER(rc, obs::Stage::kEncode);
+    KGLINK_SCOPE(rc, obs::Stage::kEncode);
     out.status = PredictWithStatus(processed, &out.predictions);
   }
   out.degraded = processed.degraded;
@@ -236,6 +235,7 @@ std::vector<AnnotateOutcome> KgLinkAnnotator::AnnotateBatch(
 
   // Phase 2: one padded masked forward per segment-presence bucket
   // (ForwardBatch requires every item in a batch to agree on segments).
+  Stopwatch forward_watch;
   for (int want_segments = 0; want_segments < 2; ++want_segments) {
     std::vector<nn::EncoderBatchItem> items;
     std::vector<EncodeJob*> bucket;
@@ -256,6 +256,16 @@ std::vector<AnnotateOutcome> KgLinkAnnotator::AnnotateBatch(
       bucket[j]->hidden = hidden[j];
     }
   }
+  // Every member waited for the whole shared forward, so each member's
+  // encode stage is charged all of it.
+  const uint64_t forward_us =
+      static_cast<uint64_t>(forward_watch.ElapsedSeconds() * 1e6);
+  for (size_t i = 0; i < n; ++i) {
+    obs::RequestTelemetry* t = obs::TelemetryOf(rcs[i]);
+    if (t != nullptr && entries[i].encode_ready) {
+      t->AddStage(obs::Stage::kEncode, forward_us);
+    }
+  }
 
   // Phase 3: replay each request through the normal eval path, feeding the
   // pre-computed hidden states back in call order.
@@ -273,7 +283,7 @@ std::vector<AnnotateOutcome> KgLinkAnnotator::AnnotateBatch(
       return job.hidden;
     };
     {
-      KGLINK_STAGE_TIMER(rcs[i], obs::Stage::kEncode);
+      KGLINK_SCOPE(rcs[i], obs::Stage::kEncode);
       out[i].status =
           PredictWithStatus(e.processed, &out[i].predictions, &fn);
     }
@@ -549,13 +559,13 @@ double KgLinkAnnotator::EvaluatePrepared(
 
 void KgLinkAnnotator::Fit(const table::Corpus& train,
                           const table::Corpus& valid) {
-  KGLINK_TRACE_SPAN("train.fit");
+  KGLINK_SCOPE("train.fit");
   Stopwatch watch;
   label_names_ = train.label_names;
   rng_ = std::make_unique<Rng>(options_.seed);
 
   auto prepare = [&](const table::Corpus& corpus) {
-    KGLINK_TRACE_SPAN("train.prepare");
+    KGLINK_SCOPE("train.prepare");
     std::vector<PreparedTable> out;
     out.reserve(corpus.tables.size());
     for (const auto& lt : corpus.tables) {
@@ -658,7 +668,7 @@ void KgLinkAnnotator::Fit(const table::Corpus& train,
     batch_loss = 0.0;
   };
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    KGLINK_TRACE_SPAN("train.epoch");
+    KGLINK_SCOPE("train.epoch");
     rng_->Shuffle(order);
     epoch_loss = 0.0;
     batch_loss = 0.0;
@@ -686,7 +696,7 @@ void KgLinkAnnotator::Fit(const table::Corpus& train,
                            : epoch_loss / static_cast<double>(
                                               train_prepared.size());
     {
-      KGLINK_TRACE_SPAN("train.validate");
+      KGLINK_SCOPE("train.validate");
       stats.valid_accuracy = EvaluatePrepared(
           valid_prepared.empty() ? train_prepared : valid_prepared);
     }

@@ -5,7 +5,7 @@
 #include <unordered_set>
 
 #include "obs/metrics.h"
-#include "obs/request_telemetry.h"
+#include "obs/scope.h"
 
 namespace kglink::linker {
 
@@ -85,12 +85,10 @@ CellLinks EntityLinker::LinkCell(const table::Cell& cell,
   std::vector<search::SearchResult> hits;
   bool cached = false;
   if (cache_ != nullptr && !expired) {
-    KGLINK_STAGE_TIMER(rc, obs::Stage::kCellCache);
+    KGLINK_SCOPE(rc, obs::Stage::kCellCache);
     cached = cache_->Get(cell.text, &hits);
-    if (cached) {
-      KGLINK_TELEMETRY_COUNT(rc, cache_hits, 1);
-    } else {
-      KGLINK_TELEMETRY_COUNT(rc, cache_misses, 1);
+    if (obs::RequestTelemetry* t = obs::TelemetryOf(rc)) {
+      ++(cached ? t->cache_hits : t->cache_misses);
     }
   }
   if (!cached) {
@@ -107,7 +105,7 @@ CellLinks EntityLinker::LinkCell(const table::Cell& cell,
     // caching it would poison every later lookup of this cell text.
     if (cache_ != nullptr && !expired &&
         (rc == nullptr || !rc->Expired())) {
-      KGLINK_STAGE_TIMER(rc, obs::Stage::kCellCache);
+      KGLINK_SCOPE(rc, obs::Stage::kCellCache);
       cache_->Put(cell.text, hits);
     }
   }

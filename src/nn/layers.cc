@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/scope.h"
 
 namespace kglink::nn {
 
@@ -51,7 +51,7 @@ LayerNormLayer::LayerNormLayer(int dim, std::string name)
       beta_(Tensor::Zeros({1, dim}, /*requires_grad=*/true)) {}
 
 Tensor LayerNormLayer::Forward(const Tensor& x) const {
-  KGLINK_PROFILE_FRAME("layernorm");
+  KGLINK_SCOPE("layernorm");
   return LayerNorm(x, gamma_, beta_);
 }
 
@@ -80,10 +80,10 @@ Tensor MultiHeadAttention::Forward(const Tensor& x) const {
 Tensor MultiHeadAttention::ForwardPadded(const Tensor& x,
                                          const std::vector<int>& seq_lens,
                                          int pad_len) const {
-  KGLINK_PROFILE_FRAME("attn");
+  KGLINK_SCOPE("attn");
   Tensor q, k, v;
   {
-    KGLINK_PROFILE_FRAME("attn.qkv");
+    KGLINK_SCOPE("attn.qkv");
     q = q_.Forward(x);
     k = k_.Forward(x);
     v = v_.Forward(x);
@@ -91,13 +91,13 @@ Tensor MultiHeadAttention::ForwardPadded(const Tensor& x,
   float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   Tensor ctx;
   {
-    KGLINK_PROFILE_FRAME("attn.scores");
+    KGLINK_SCOPE("attn.scores");
     // One fused op instead of the per-head
     // SliceCols/MatMul/Scale/Softmax/MatMul/ConcatCols chain: same math,
     // bit-identical per valid row, ~10x fewer tape nodes.
     ctx = MaskedAttention(q, k, v, num_heads_, scale, seq_lens, pad_len);
   }
-  KGLINK_PROFILE_FRAME("attn.proj");
+  KGLINK_SCOPE("attn.proj");
   return o_.Forward(ctx);
 }
 
@@ -113,7 +113,7 @@ void MultiHeadAttention::CollectParams(std::vector<NamedParam>* out) const {
 TransformerLayer::TransformerLayer(int dim, int num_heads, int ffn_dim,
                                    float dropout, Rng& rng, std::string name)
     : dropout_(dropout),
-      profile_name_(KGLINK_PROFILE_INTERN(name)),
+      profile_name_(obs::InternFrameName(name)),
       attn_(dim, num_heads, rng, name + ".attn"),
       ln1_(dim, name + ".ln1"),
       ln2_(dim, name + ".ln2"),
@@ -129,12 +129,12 @@ Tensor TransformerLayer::ForwardPadded(const Tensor& x,
                                        const std::vector<int>& seq_lens,
                                        int pad_len, Rng& rng,
                                        bool training) const {
-  KGLINK_PROFILE_FRAME(profile_name_);
+  KGLINK_SCOPE(profile_name_);
   Tensor a = attn_.ForwardPadded(ln1_.Forward(x), seq_lens, pad_len);
   Tensor h = Add(x, Dropout(a, dropout_, rng, training));
   Tensor f;
   {
-    KGLINK_PROFILE_FRAME("ffn");
+    KGLINK_SCOPE("ffn");
     f = ff2_.Forward(Gelu(ff1_.Forward(ln2_.Forward(h))));
   }
   return Add(h, Dropout(f, dropout_, rng, training));
@@ -181,10 +181,10 @@ Tensor TransformerEncoder::Forward(const std::vector<int>& token_ids,
                                    Rng& rng, bool training) const {
   KGLINK_CHECK(!token_ids.empty());
   const int len = TruncatedLen(token_ids.size(), config_.max_seq_len);
-  KGLINK_PROFILE_FRAME("encoder.forward");
+  KGLINK_SCOPE("encoder.forward");
   Tensor h;
   {
-    KGLINK_PROFILE_FRAME("encoder.embedding");
+    KGLINK_SCOPE("encoder.embedding");
     h = Add(EmbeddingLookup(tok_emb_, token_ids.data(), len),
             EmbeddingLookup(pos_emb_, pos_ids_.data(), len));
     if (!segment_ids.empty()) {
@@ -239,10 +239,10 @@ std::vector<Tensor> TransformerEncoder::ForwardBatch(
     }
   }
 
-  KGLINK_PROFILE_FRAME("encoder.forward_batch");
+  KGLINK_SCOPE("encoder.forward_batch");
   Tensor h;
   {
-    KGLINK_PROFILE_FRAME("encoder.embedding");
+    KGLINK_SCOPE("encoder.embedding");
     h = Add(EmbeddingLookup(tok_emb_, tok.data(), static_cast<int>(total)),
             EmbeddingLookup(pos_emb_, pos.data(), static_cast<int>(total)));
     if (has_segments) {

@@ -94,9 +94,8 @@ class TransformerLayer {
 
  private:
   float dropout_ = 0.0f;
-  // Interned profile-frame name ("enc.layerN"); null for a
-  // default-constructed layer or a profiler-off build.
-  const char* profile_name_ = nullptr;
+  // Interned scope name ("enc.layerN").
+  const char* profile_name_ = "enc.layer";
   MultiHeadAttention attn_;
   LayerNormLayer ln1_, ln2_;
   Linear ff1_, ff2_;

@@ -341,12 +341,6 @@ Profiler& Profiler::Global() {
 }
 
 Status Profiler::Start(const ProfilerOptions& options) {
-  if (!kProfilerCompiledIn) {
-    // No frames are ever pushed in this build; running a sampler would
-    // only produce empty profiles.
-    return Status::FailedPrecondition(
-        "profiler compiled out (KGLINK_ENABLE_PROFILER=OFF)");
-  }
   if (options.hz <= 0 || options.hz > 100000) {
     return Status::InvalidArgument("profiler hz out of range: " +
                                    std::to_string(options.hz));
@@ -630,9 +624,7 @@ std::string Profiler::StatusJson() const {
   }
   std::lock_guard<std::mutex> lock(im.mu);
   std::string out = "{";
-  out += "\"compiled_in\": ";
-  out += kProfilerCompiledIn ? "true" : "false";
-  out += ", \"running\": ";
+  out += "\"running\": ";
   out += im.running ? "true" : "false";
   out += ", \"hz\": " + std::to_string(im.opts.hz);
   out += ", \"ticks\": " + std::to_string(im.ticks);

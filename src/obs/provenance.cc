@@ -11,11 +11,9 @@ ProvenanceRecorder& ProvenanceRecorder::Global() {
 }
 
 void ProvenanceRecorder::Start() {
-#if defined(KGLINK_PROVENANCE_ENABLED)
   std::lock_guard<std::mutex> lock(mu_);
   records_.clear();
   enabled_.store(true, std::memory_order_relaxed);
-#endif
 }
 
 void ProvenanceRecorder::Emit(std::string record) {

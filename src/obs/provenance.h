@@ -7,14 +7,9 @@
 // export (`kglink_cli --explain=DIR`) and aggregation
 // (eval::BuildExplainReport).
 //
-// Mirrors TraceRecorder's two gates:
-//   * runtime: records are captured only between Start() and Stop(); the
-//     disarmed check is one relaxed atomic load, and the expensive record
-//     assembly sits behind `if (recorder.enabled())` at every call-site;
-//   * compile time: building with KGLINK_ENABLE_PROVENANCE=OFF (no
-//     KGLINK_PROVENANCE_ENABLED define) folds enabled() to a constant
-//     false, so call-site branches — and the record assembly behind them —
-//     dead-strip entirely.
+// Like TraceRecorder, records are captured only between Start() and
+// Stop(); the disarmed check is one relaxed atomic load, and the expensive
+// record assembly sits behind `if (recorder.enabled())` at every call-site.
 //
 // The gold-label context is how ground truth reaches records without
 // widening the ColumnAnnotator interface: the evaluation loop publishes the
@@ -45,17 +40,10 @@ class ProvenanceRecorder {
   // The process-wide recorder used by all instrumentation.
   static ProvenanceRecorder& Global();
 
-  // Clears previously captured records and arms recording. A no-op in
-  // provenance-disabled builds (the recorder can never arm there).
+  // Clears previously captured records and arms recording.
   void Start();
   void Stop() { enabled_.store(false, std::memory_order_relaxed); }
-  bool enabled() const {
-#if defined(KGLINK_PROVENANCE_ENABLED)
-    return enabled_.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
-  }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   // Appends one record: a complete JSON object without trailing newline.
   // Ignored while disarmed.

@@ -2,18 +2,6 @@
 
 namespace kglink::obs {
 
-namespace {
-
-constexpr const char* kStageNames[kNumTelemetryStages] = {
-    "queue_wait", "link", "topk", "cell_cache", "encode", "post_process",
-};
-
-}  // namespace
-
-const char* StageName(Stage stage) {
-  return kStageNames[static_cast<size_t>(stage)];
-}
-
 uint64_t RequestTelemetry::exclusive_stage_us(Stage stage) const {
   uint64_t us = stage_micros(stage);
   if (stage == Stage::kLink) {

@@ -98,7 +98,9 @@ TableOpContext::TableOpContext(const RetryPolicy& policy,
 void TableOpContext::Degrade(const char* reason) {
   degraded_ = true;
   degrade_reason_ = reason;
-  KGLINK_TELEMETRY_COUNT(request_, degrade_events, 1);
+  if (obs::RequestTelemetry* t = obs::TelemetryOf(request_)) {
+    ++t->degrade_events;
+  }
 }
 
 bool TableOpContext::DeadlineExpired() {
@@ -154,7 +156,9 @@ bool TableOpContext::Attempt(FaultSite site) {
       // the operation never ran, so it says nothing about site health.
       RobustMetrics::Get().breaker_rejects.Add();
       RobustMetrics::Get().failed_ops.Add();
-      KGLINK_TELEMETRY_COUNT(request_, breaker_short_circuits, 1);
+      if (obs::RequestTelemetry* t = obs::TelemetryOf(request_)) {
+        ++t->breaker_short_circuits;
+      }
       if (++failed_ops_ > budget_.max_failed_ops) {
         Degrade("fault budget exhausted");
       }
@@ -199,7 +203,7 @@ bool TableOpContext::AttemptRetryLoop(FaultSite site, bool* hard_failure) {
       return false;
     }
     RobustMetrics::Get().retries.Add();
-    KGLINK_TELEMETRY_COUNT(request_, retries, 1);
+    if (obs::RequestTelemetry* t = obs::TelemetryOf(request_)) ++t->retries;
     std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
     if (CheckDeadline()) return false;
   }

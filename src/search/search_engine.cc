@@ -6,27 +6,21 @@
 #include <thread>
 
 #include "obs/metrics.h"
-#include "obs/request_telemetry.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "util/string_util.h"
 
 namespace kglink::search {
 
 namespace {
 
-#if defined(KGLINK_TRACE_ENABLED)
 // Resolved once; afterwards updates are relaxed atomics on the hot path.
-// TopK runs in ~hundreds of nanoseconds, so even these are gated behind
-// KGLINK_OBS_HOT and vanish in tracing-disabled builds.
 struct TopKMetrics {
   obs::Counter& calls;
   obs::Counter& docs_scanned;
   obs::Counter& candidates;
+  // Sampled (obs::SampledLatencyTimer); the sampling interval is published
+  // as a gauge next to it so consumers can rescale the sampled counts.
   obs::Histogram& latency_us;
-  // Timer sampling mask, resolved once from KGLINK_OBS_SAMPLE_SHIFT
-  // (default 1 in 64). The interval is published as a gauge next to the
-  // histogram so consumers can rescale the sampled counts.
-  uint32_t sample_mask;
 
   static TopKMetrics& Get() {
     static TopKMetrics& m = *[] {
@@ -35,16 +29,14 @@ struct TopKMetrics {
           reg.GetCounter("search.topk.calls"),
           reg.GetCounter("search.topk.docs_scanned"),
           reg.GetCounter("search.topk.candidates"),
-          reg.GetHistogram("search.topk.latency_us"),
-          obs::SampleMaskFromEnv(/*default_shift=*/6)};
+          reg.GetHistogram("search.topk.latency_us")};
       reg.GetGauge("search.topk.latency_us.sample_interval")
-          .Set(static_cast<double>(metrics->sample_mask) + 1.0);
+          .Set(static_cast<double>(obs::kLatencySampleInterval));
       return metrics;
     }();
     return m;
   }
 };
-#endif  // KGLINK_TRACE_ENABLED
 
 // Thread-local dense score accumulator for TopK. The score slot for a
 // document is valid only when its stamp equals the current query's stamp,
@@ -329,16 +321,14 @@ double SearchEngine::Idf(std::string_view term) const {
 std::vector<SearchResult> SearchEngine::TopK(std::string_view query, int k,
                                              const RequestContext* rc) const {
   KGLINK_CHECK(finalized_) << "query before Finalize";
-  KGLINK_OBS_HOT(TopKMetrics::Get().calls.Add());
-  // TopK runs in a few hundred nanoseconds; timing every call would spend
-  // more in steady_clock reads than in scoring. Sample 1 in 2^shift per
-  // thread (KGLINK_OBS_SAMPLE_SHIFT, default 64; the calls counter above
-  // stays exact and *.sample_interval records the rate).
-  KGLINK_OBS_TIMER_SAMPLED(TopKMetrics::Get().latency_us,
-                           TopKMetrics::Get().sample_mask);
+  TopKMetrics& metrics = TopKMetrics::Get();
+  metrics.calls.Add();
+  // TopK is too fast to time every call; the calls counter above stays
+  // exact and the histogram is sampled.
+  obs::SampledLatencyTimer timer(metrics.latency_us);
   // Per-request stage accounting is exact (not sampled): a request that
   // carries telemetry has opted into the two clock reads.
-  KGLINK_STAGE_TIMER(rc, obs::Stage::kTopK);
+  KGLINK_SCOPE(rc, obs::Stage::kTopK);
   if (k <= 0 || num_docs_ == 0) return {};
   bool bounded = rc != nullptr && !rc->Unbounded();
   if (bounded && rc->Expired()) return {};
@@ -374,8 +364,7 @@ std::vector<SearchResult> SearchEngine::TopK(std::string_view query, int k,
   });
   if (expired_mid_query) return {};
 
-  KGLINK_OBS_HOT(TopKMetrics::Get().docs_scanned.Add(
-      static_cast<int64_t>(scratch.touched.size())));
+  metrics.docs_scanned.Add(static_cast<int64_t>(scratch.touched.size()));
 
   // Bounded top-k selection: a k-element heap with the *worst* kept result
   // at the front (BetterResult as the heap comparator makes push/pop_heap
@@ -397,8 +386,7 @@ std::vector<SearchResult> SearchEngine::TopK(std::string_view query, int k,
     }
   }
   std::sort_heap(results.begin(), results.end(), BetterResult);
-  KGLINK_OBS_HOT(TopKMetrics::Get().candidates.Add(
-      static_cast<int64_t>(results.size())));
+  metrics.candidates.Add(static_cast<int64_t>(results.size()));
   return results;
 }
 

@@ -438,13 +438,15 @@ AnnotationResult AnnotationService::RunRequest(Request& req,
       outcome = annotator_->AnnotateDegraded(*req.table, "brownout:plm_only");
       break;
   }
-  FinishRun(req, result, std::move(outcome), ElapsedMicros(work), tier);
+  const int64_t work_us = ElapsedMicros(work);
+  FinishRun(req, result, std::move(outcome), work_us, tier, work_us);
   return result;
 }
 
 void AnnotationService::FinishRun(Request& req, AnnotationResult& result,
                                   core::AnnotateOutcome&& outcome,
-                                  int64_t work_us, BrownoutTier tier) {
+                                  int64_t work_us, BrownoutTier tier,
+                                  int64_t triage_us) {
   result.work_us = work_us;
   req.rc.telemetry = nullptr;
   ServeMetrics::Get().latency_us.Record(
@@ -489,7 +491,7 @@ void AnnotationService::FinishRun(Request& req, AnnotationResult& result,
     // load-modify-store race between workers is benign: the value is a
     // smoothing estimate, and every store is a valid recent observation.
     int64_t prev = work_ewma_us_.load(std::memory_order_relaxed);
-    int64_t next = prev == 0 ? work_us : prev + (work_us - prev) / 8;
+    int64_t next = prev == 0 ? triage_us : prev + (triage_us - prev) / 8;
     work_ewma_us_.store(next, std::memory_order_relaxed);
   }
   tier_completed_[static_cast<size_t>(tier)].fetch_add(
@@ -538,8 +540,9 @@ void AnnotationService::RunBatch(std::vector<Request>& batch,
     Stopwatch work;
     core::AnnotateOutcome outcome =
         annotator_->AnnotateDegraded(*batch[i].table, "batch_deadline");
-    FinishRun(batch[i], results[i], std::move(outcome), ElapsedMicros(work),
-              BrownoutTier::kFull);
+    const int64_t work_us = ElapsedMicros(work);
+    FinishRun(batch[i], results[i], std::move(outcome), work_us,
+              BrownoutTier::kFull, work_us);
     FinishInflight();
     CountCompletion(results[i].status);
     batch[i].promise.set_value(std::move(results[i]));
@@ -557,15 +560,15 @@ void AnnotationService::RunBatch(std::vector<Request>& batch,
     }
     std::vector<core::AnnotateOutcome> outcomes =
         annotator_->AnnotateBatch(tables, rcs);
-    // The shared forward serves every surviving member at once, so each is
-    // charged an equal share of the batch's wall time — total work stays
-    // conserved and per-request latency reflects what the caller saw.
-    const int64_t share =
-        ElapsedMicros(work) / static_cast<int64_t>(run.size());
+    // Every surviving member waits for the whole batch, so each is charged
+    // the batch's wall time: total_us() is what its caller waited. The
+    // triage estimate stays per request, so it is fed each member's share.
+    const int64_t wall_us = ElapsedMicros(work);
+    const int64_t share_us = wall_us / static_cast<int64_t>(run.size());
     for (size_t j = 0; j < run.size(); ++j) {
       const size_t i = run[j];
-      FinishRun(batch[i], results[i], std::move(outcomes[j]), share,
-                BrownoutTier::kFull);
+      FinishRun(batch[i], results[i], std::move(outcomes[j]), wall_us,
+                BrownoutTier::kFull, share_us);
       FinishInflight();
       CountCompletion(results[i].status);
       batch[i].promise.set_value(std::move(results[i]));

@@ -154,11 +154,12 @@ struct AnnotationResult {
   // refusals; kFull for every non-brownout admission outcome).
   BrownoutTier tier = BrownoutTier::kFull;
   int64_t queue_us = 0;        // time spent waiting for a worker
-  int64_t work_us = 0;         // time spent annotating
-  // Per-stage accounting for this request. The service always fills queue
-  // wait and the post-process remainder; the library stages (link, topk,
-  // cell_cache, encode) stay zero when the build disables request
-  // telemetry (KGLINK_ENABLE_REQUEST_TELEMETRY=OFF).
+  // Time spent annotating; for a batched request, the whole batch's wall
+  // time, since the caller waits for the shared forward to finish.
+  int64_t work_us = 0;
+  // Per-stage accounting for this request: queue wait and the post-process
+  // remainder from the service, link/topk/cell_cache/encode from the
+  // library layers' KGLINK_SCOPEs.
   obs::RequestTelemetry telemetry;
 
   int64_t total_us() const { return queue_us + work_us; }
@@ -230,7 +231,7 @@ class AnnotationService {
   //              loads,load_failures,quarantined,version_skew
   //              [,mapped_bytes,resident_bytes][,last_error]},
   //  "cell_cache":{capacity,size,hits,misses,evictions},
-  //  "profile":{compiled_in,running,hz,ticks,samples,…,heap:{…},
+  //  "profile":{running,hz,ticks,samples,…,heap:{…},
   //             process:{rss_bytes,peak_rss_bytes,arena_bytes}},
   //  "breakers":{site:state,…}}
   // "window"/"slo" cover the sliding windows configured in ServiceOptions
@@ -278,10 +279,11 @@ class AnnotationService {
   // Shared completion tail for worker-run requests: work accounting,
   // post-process stage remainder, outcome -> status mapping, tier counter
   // and ObserveCompletion. `result` must already carry queue_us/tier and
-  // the attached telemetry.
+  // the attached telemetry. `triage_us` is the work sample fed to the batch
+  // triage estimate: work_us, or a batched member's share of the batch.
   void FinishRun(Request& req, AnnotationResult& result,
                  core::AnnotateOutcome&& outcome, int64_t work_us,
-                 BrownoutTier tier);
+                 BrownoutTier tier, int64_t triage_us);
   // The shed path: degraded PLM-only annotation in the calling thread.
   AnnotationResult RunShedInline(const table::Table& table,
                                  const RequestContext& rc);

@@ -41,9 +41,6 @@ core::KgLinkOptions TinyOptions() {
 }
 
 TEST(ObsIntegrationTest, TraceAndMetricsCoverTrainingRun) {
-#if !defined(KGLINK_TRACE_ENABLED)
-  GTEST_SKIP() << "tracing compiled out";
-#else
   data::WorldConfig wc;
   wc.scale = 0.25;
   data::World world = data::GenerateWorld(wc);
@@ -138,7 +135,6 @@ TEST(ObsIntegrationTest, TraceAndMetricsCoverTrainingRun) {
   EXPECT_TRUE(obs::IsValidJson(*metrics_back));
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
-#endif
 }
 
 // The row filter accounts every input row as kept or dropped.

@@ -1,11 +1,13 @@
 // Unit tests for the observability layer: histogram bucket boundaries,
 // counter overflow/reset semantics, nested-span parenting, Chrome trace
 // JSON structure (timestamps excluded from comparisons — they are the one
-// nondeterministic field), and the structured logger's line format.
+// nondeterministic field), KGLINK_SCOPE's three observers, and the
+// structured logger's line format.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -15,7 +17,11 @@
 #include "obs/json_util.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
+#include "obs/request_telemetry.h"
+#include "obs/scope.h"
 #include "obs/trace.h"
+#include "util/deadline.h"
 
 namespace kglink::obs {
 namespace {
@@ -282,8 +288,6 @@ TEST(JsonParseTest, RoundTripsEscapedStrings) {
   EXPECT_EQ(v->StringOr("cell", ""), nasty);
 }
 
-#if defined(KGLINK_TRACE_ENABLED)
-
 // Validates balanced, properly nested B/E events with a stack; returns the
 // maximum nesting depth or -1 on imbalance. Timestamps are ignored.
 int CheckBalanced(const std::vector<TraceEvent>& events) {
@@ -311,16 +315,16 @@ TEST(TraceTest, NestedSpanParenting) {
   TraceRecorder& rec = TraceRecorder::Global();
   rec.Start();
   {
-    ScopedSpan outer("outer");
+    Scope outer("outer");
     EXPECT_EQ(outer.depth(), 0);
-    EXPECT_EQ(ScopedSpan::CurrentDepth(), 1);
+    EXPECT_EQ(Scope::CurrentDepth(), 1);
     {
-      ScopedSpan inner("inner");
+      Scope inner("inner");
       EXPECT_EQ(inner.depth(), 1);
-      ScopedSpan innermost("innermost");
+      Scope innermost("innermost");
       EXPECT_EQ(innermost.depth(), 2);
     }
-    ScopedSpan sibling("sibling");
+    Scope sibling("sibling");
     EXPECT_EQ(sibling.depth(), 1);
   }
   rec.Stop();
@@ -348,8 +352,9 @@ TEST(TraceTest, DisabledRecorderRecordsNothing) {
   rec.Start();
   rec.Stop();
   {
-    ScopedSpan span("ignored");
-    EXPECT_EQ(ScopedSpan::CurrentDepth(), 0);  // inactive span: no depth
+    Scope span("ignored");
+    EXPECT_EQ(span.depth(), -1);
+    EXPECT_EQ(Scope::CurrentDepth(), 0);  // untraced scope: no depth
   }
   EXPECT_EQ(rec.event_count(), 0u);
 }
@@ -361,8 +366,8 @@ TEST(TraceTest, ChromeJsonExportGolden) {
   TraceRecorder& rec = TraceRecorder::Global();
   rec.Start();
   {
-    ScopedSpan outer("stage \"one\"");  // quote needs escaping
-    ScopedSpan inner("stage.two");
+    KGLINK_SCOPE("stage \"one\"");  // quote needs escaping
+    KGLINK_SCOPE("stage.two");
   }
   rec.Stop();
   std::string json = rec.ExportChromeJson();
@@ -386,14 +391,60 @@ TEST(TraceTest, ChromeJsonExportGolden) {
 
 TEST(TraceTest, TimerRecordsIntoHistogram) {
   Histogram h(HistogramBuckets::LatencyMicros());
-  {
-    KGLINK_OBS_TIMER(h);
-  }
-  EXPECT_EQ(h.count(), 1);
+  // A fresh thread: its first sampled timer is always timed, the next
+  // kLatencySampleInterval - 1 are not, and then the cycle repeats.
+  std::thread([&h] {
+    { SampledLatencyTimer timer(h); }
+    EXPECT_EQ(h.count(), 1);
+    for (uint32_t i = 1; i < kLatencySampleInterval; ++i) {
+      SampledLatencyTimer timer(h);
+    }
+    EXPECT_EQ(h.count(), 1);
+    { SampledLatencyTimer timer(h); }
+    EXPECT_EQ(h.count(), 2);
+  }).join();
   EXPECT_GE(h.sum(), 0.0);
 }
 
-#endif  // KGLINK_TRACE_ENABLED
+// Name of the calling thread's innermost profile frame, or "" when none.
+std::string TopProfileFrame() {
+  const char* buf[kMaxProfileDepth];
+  uint32_t depth = profiler_internal::CaptureOwnStack(buf);
+  return depth == 0 ? "" : buf[depth - 1];
+}
+
+TEST(ScopeTest, StageScopeFeedsProfilerTraceAndTelemetry) {
+  RequestTelemetry telemetry;
+  RequestContext rc;
+  rc.telemetry = &telemetry;
+  ASSERT_TRUE(Profiler::Global().Start({.hz = 10}).ok());
+  TraceRecorder& rec = TraceRecorder::Global();
+  rec.Start();
+  {
+    KGLINK_SCOPE(&rc, Stage::kTopK);
+    EXPECT_EQ(TopProfileFrame(), "topk");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  rec.Stop();
+  Profiler::Global().Stop();
+  EXPECT_EQ(TopProfileFrame(), "");
+  std::vector<TraceEvent> events = rec.Events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].name, "topk");
+  EXPECT_EQ(CheckBalanced(events), 1);
+  EXPECT_EQ(telemetry.stage_count(Stage::kTopK), 1u);
+  EXPECT_GE(telemetry.stage_micros(Stage::kTopK), 2000u);
+
+  // All three idle: no frame, no span, no stage time.
+  RequestContext bare;
+  {
+    KGLINK_SCOPE(&bare, Stage::kTopK);
+    EXPECT_EQ(TopProfileFrame(), "");
+    EXPECT_EQ(Scope::CurrentDepth(), 0);
+  }
+  EXPECT_EQ(rec.event_count(), 2u);
+  EXPECT_EQ(telemetry.stage_count(Stage::kTopK), 1u);
+}
 
 class LogTest : public ::testing::Test {
  protected:

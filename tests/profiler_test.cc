@@ -14,11 +14,11 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "obs/heap_profiler.h"
 #include "obs/json_util.h"
+#include "obs/scope.h"
 
 namespace kglink::obs {
 namespace {
@@ -90,28 +90,6 @@ TEST(InternTest, SameContentSamePointer) {
   EXPECT_NE(a, InternFrameName("enc.layer1"));
 }
 
-#if !defined(KGLINK_PROFILER_ENABLED)
-
-// Compiled out: frames are empty types and nothing ever samples.
-static_assert(std::is_empty_v<ProfileFrame>,
-              "ProfileFrame must be zero-size when the profiler is "
-              "compiled out");
-
-TEST(ProfilerDisabledTest, StartRefusesAndStatusSaysSo) {
-  EXPECT_FALSE(kProfilerCompiledIn);
-  Profiler& p = Profiler::Global();
-  EXPECT_FALSE(p.Start({}).ok());
-  EXPECT_FALSE(p.running());
-  EXPECT_EQ(p.samples(), 0);
-  std::string status = p.StatusJson();
-  EXPECT_TRUE(IsValidJson(status)) << status;
-  auto doc = ParseJson(status);
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_FALSE(doc->BoolOr("compiled_in", true));
-}
-
-#else  // KGLINK_PROFILER_ENABLED
-
 // ----- live sampling ----------------------------------------------------
 
 // Holds `frames` (bottom→top) on this thread until `stop` fires.
@@ -121,7 +99,7 @@ void HoldFrames(const std::vector<const char*>& frames,
     while (!stop.load()) std::this_thread::yield();
     return;
   }
-  KGLINK_PROFILE_FRAME(frames[0]);
+  KGLINK_SCOPE(frames[0]);
   HoldFrames({frames.begin() + 1, frames.end()}, stop);
 }
 
@@ -194,7 +172,7 @@ TEST(ProfilerLiveTest, RestartClearsPreviousSamples) {
   Profiler& p = Profiler::Global();
   ASSERT_TRUE(p.Start({.hz = 2000}).ok());
   {
-    KGLINK_PROFILE_FRAME("restart_marker");
+    KGLINK_SCOPE("restart_marker");
     auto deadline = std::chrono::steady_clock::now() +
                     std::chrono::seconds(10);
     while (p.samples() == 0 &&
@@ -219,7 +197,7 @@ TEST(ProfilerLiveTest, StatusJsonIsValid) {
   ASSERT_TRUE(IsValidJson(status)) << status;
   auto doc = ParseJson(status);
   ASSERT_TRUE(doc.has_value());
-  EXPECT_TRUE(doc->BoolOr("compiled_in", false));
+  EXPECT_NE(doc->Find("running"), nullptr);
   const JsonValue* process = doc->Find("process");
   ASSERT_NE(process, nullptr);
 #if defined(__linux__)
@@ -239,9 +217,9 @@ TEST(ProfilerConcurrencyTest, PushPopRacesSamplerCleanly) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&stop] {
       while (!stop.load(std::memory_order_relaxed)) {
-        KGLINK_PROFILE_FRAME("churn_outer");
+        KGLINK_SCOPE("churn_outer");
         for (int i = 0; i < 64; ++i) {
-          KGLINK_PROFILE_FRAME("churn_inner");
+          KGLINK_SCOPE("churn_inner");
         }
       }
     });
@@ -279,8 +257,6 @@ TEST(ProfilerLiveTest, DeepStacksTruncateAtMaxDepth) {
   p.Stop();
 }
 
-#endif  // KGLINK_PROFILER_ENABLED
-
 // ----- heap attribution -------------------------------------------------
 
 TEST(HeapProfilerTest, StatusReportsCompiledState) {
@@ -298,9 +274,6 @@ TEST(HeapProfilerTest, DeterministicCountsWithExactSampling) {
   // Frames only push while the profiler is armed, so call-site
   // attribution needs a running sampler (the CLI pairs --heap-profile
   // with --profile for the same reason).
-  if (!kProfilerCompiledIn) {
-    GTEST_SKIP() << "needs KGLINK_ENABLE_PROFILER=ON for frame stacks";
-  }
   ASSERT_TRUE(Profiler::Global().Start({.hz = 10}).ok());
   HeapProfiler& hp = HeapProfiler::Global();
   HeapProfilerOptions opts;
@@ -312,7 +285,7 @@ TEST(HeapProfilerTest, DeterministicCountsWithExactSampling) {
   constexpr int kAllocs = 100;
   constexpr size_t kBytes = 1024;
   {
-    KGLINK_PROFILE_FRAME("heap_test_site");
+    KGLINK_SCOPE("heap_test_site");
     std::vector<char*> blocks;
     blocks.reserve(kAllocs);
     for (int i = 0; i < kAllocs; ++i) blocks.push_back(new char[kBytes]);

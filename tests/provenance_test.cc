@@ -41,8 +41,6 @@ TEST(ProvenanceRecorderTest, GoldContextJoinsByTableAndColumn) {
   EXPECT_EQ(rec.GoldFor("t1", 0), obs::kProvenanceNoGold);
 }
 
-#if defined(KGLINK_PROVENANCE_ENABLED)
-
 TEST(ProvenanceRecorderTest, BuffersOnlyWhileArmed) {
   ProvenanceRecorder rec;
   rec.Emit("{\"dropped\":true}");  // disarmed -> ignored
@@ -248,18 +246,6 @@ TEST_F(ProvenanceE2eTest, DisarmedRecorderAddsNoRecords) {
   annotator_->PredictTable(split_->test.tables[0].table);
   EXPECT_EQ(rec.record_count(), 0u);
 }
-
-#else  // !KGLINK_PROVENANCE_ENABLED
-
-TEST(ProvenanceDisabledTest, StartCannotArm) {
-  ProvenanceRecorder rec;
-  rec.Start();
-  EXPECT_FALSE(rec.enabled());
-  rec.Emit("{\"a\":1}");
-  EXPECT_EQ(rec.record_count(), 0u);
-}
-
-#endif  // KGLINK_PROVENANCE_ENABLED
 
 }  // namespace
 }  // namespace kglink
