@@ -1,5 +1,7 @@
 #include "data/world.h"
 
+#include <unordered_map>
+
 #include "data/names.h"
 
 namespace kglink::data {
@@ -15,13 +17,28 @@ class WorldBuilder {
   World Build();
 
  private:
+  // Adds an entity, remembering the first id that carried each label.
+  kg::EntityId AddEntity(kg::Entity e) {
+    std::string label = e.label;
+    kg::EntityId id = world_.kg.AddEntity(std::move(e));
+    first_id_by_label_.emplace(std::move(label), id);
+    return id;
+  }
+
+  // The lowest entity id with this exact label.
+  kg::EntityId FirstWithLabel(const std::string& label) const {
+    auto it = first_id_by_label_.find(label);
+    KGLINK_CHECK(it != first_id_by_label_.end()) << "no entity " << label;
+    return it->second;
+  }
+
   kg::EntityId AddType(const std::string& label,
                        const std::string& parent = "") {
     kg::Entity e;
     e.qid = "T" + std::to_string(next_qid_++);
     e.label = label;
     e.is_type = true;
-    kg::EntityId id = world_.kg.AddEntity(std::move(e));
+    kg::EntityId id = AddEntity(std::move(e));
     world_.types[label] = id;
     world_.used_labels.insert(label);
     if (!parent.empty()) {
@@ -48,7 +65,7 @@ class WorldBuilder {
     e.label = label;
     e.aliases = std::move(aliases);
     e.is_person = is_person;
-    kg::EntityId id = world_.kg.AddEntity(std::move(e));
+    kg::EntityId id = AddEntity(std::move(e));
     world_.kg.AddTriple(id, kg::KnowledgeGraph::kInstanceOf,
                         world_.TypeId(type_label));
     world_.catalog[category].push_back(id);
@@ -64,7 +81,7 @@ class WorldBuilder {
       dup.qid = "Q" + std::to_string(next_qid_++);
       dup.label = world_.kg.entity(id).label;
       dup.is_person = is_person;
-      kg::EntityId dup_id = world_.kg.AddEntity(std::move(dup));
+      kg::EntityId dup_id = AddEntity(std::move(dup));
       kg::EntityId dup_type = world_.TypeId(type_label);
       if (rng_.Bernoulli(0.5) && !world_.types.empty()) {
         auto it = world_.types.begin();
@@ -132,6 +149,7 @@ class WorldBuilder {
   Rng rng_;
   NameGenerator names_;
   World world_;
+  std::unordered_map<std::string, kg::EntityId> first_id_by_label_;
   int64_t next_qid_ = 1;
 };
 
@@ -199,12 +217,6 @@ World WorldBuilder::Build() {
       (void)pid;
     }
   }
-  // Re-fetch sport ids by label for precise wiring below.
-  auto sport_id = [&](const char* name) {
-    auto ids = world_.kg.FindByLabel(name);
-    KGLINK_CHECK(!ids.empty());
-    return ids[0];
-  };
 
   const char* kGenres[] = {"Rock", "Jazz", "Folk",      "Blues", "Electronic",
                            "Pop",  "Metal", "Classical", "Soul",  "Country"};
@@ -234,8 +246,7 @@ World WorldBuilder::Build() {
     std::string pos_category = std::string(s.sport) + " position";
     for (const char* pos : s.positions) {
       // Index per-sport position pools for table generation.
-      auto ids = world_.kg.FindByLabel(pos);
-      world_.catalog[pos_category].push_back(ids[0]);
+      world_.catalog[pos_category].push_back(FirstWithLabel(pos));
     }
     if (s.team_type != nullptr) {
       for (int i = 0; i < Scaled(10); ++i) {
@@ -248,7 +259,7 @@ World WorldBuilder::Build() {
         });
         kg::EntityId team = AddInstance(s.team_type, s.team_type, name);
         Relate(team, "located in", city);
-        Relate(team, "plays sport", sport_id(s.sport));
+        Relate(team, "plays sport", FirstWithLabel(s.sport));
       }
     }
     for (int i = 0; i < ScaledOpen(70); ++i) {
@@ -257,7 +268,7 @@ World WorldBuilder::Build() {
       if (rng_.Bernoulli(0.7)) aliases.push_back(NameGenerator::PersonAlias(name));
       kg::EntityId p =
           AddPerson(s.player_type, s.player_type, name, std::move(aliases));
-      Relate(p, "plays sport", sport_id(s.sport));
+      Relate(p, "plays sport", FirstWithLabel(s.sport));
       Relate(p, "place of birth", Sample("city"));
       if (s.team_type != nullptr) {
         Relate(p, "member of sports team", Sample(s.team_type));
@@ -371,6 +382,8 @@ World WorldBuilder::Build() {
     Relate(c, "industry", Sample("industry"));
   }
 
+  Status frozen = world_.kg.Finalize();
+  KGLINK_CHECK(frozen.ok()) << frozen.ToString();
   return std::move(world_);
 }
 

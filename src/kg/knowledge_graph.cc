@@ -1,11 +1,34 @@
 #include "kg/knowledge_graph.h"
 
 #include <algorithm>
+#include <charconv>
+#include <numeric>
 
 #include "util/csv.h"
 #include "util/string_util.h"
 
 namespace kglink::kg {
+
+namespace {
+
+// Parses an exact non-negative decimal id: digits only, no sign, no
+// fraction or exponent, and in int32 range.
+bool ParseId(const std::string& s, int32_t* out) {
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+  return ec == std::errc() && ptr == s.data() + s.size();
+}
+
+}  // namespace
+
+struct KnowledgeGraph::OwnedTopology {
+  std::vector<uint64_t> edge_offsets;
+  std::vector<Edge> edges;
+  std::vector<uint64_t> neighbor_offsets;
+  std::vector<EntityId> neighbors;
+  std::vector<EntityId> qid_sorted;
+  std::vector<EntityId> label_sorted;
+};
 
 KnowledgeGraph::KnowledgeGraph() {
   PredicateId inst = AddPredicate("instance of");
@@ -14,130 +37,113 @@ KnowledgeGraph::KnowledgeGraph() {
   KGLINK_CHECK_EQ(sub, kSubclassOf);
 }
 
-void KnowledgeGraph::ResetNeighborCache() {
-  neighbor_cache_.assign(entities_.size(), {});
-  neighbor_cache_valid_.clear();
-  for (size_t i = 0; i < entities_.size(); ++i) {
-    neighbor_cache_valid_.emplace_back(false);
-  }
-}
-
-void KnowledgeGraph::AdoptFrozenState(const KnowledgeGraph& other) {
-  frozen_ = other.frozen_;
-  flat_edges_ = other.flat_edges_;
-  edge_offsets_ = other.edge_offsets_;
-  flat_neighbors_ = other.flat_neighbors_;
-  neighbor_offsets_ = other.neighbor_offsets_;
-  qid_sorted_ = other.qid_sorted_;
-  qid_sorted_count_ = other.qid_sorted_count_;
-  label_sorted_ = other.label_sorted_;
-}
-
-KnowledgeGraph::KnowledgeGraph(const KnowledgeGraph& other)
-    : entities_(other.entities_),
-      predicate_labels_(other.predicate_labels_),
-      edges_(other.edges_),
-      num_triples_(other.num_triples_),
-      by_qid_(other.by_qid_),
-      by_label_(other.by_label_) {
-  AdoptFrozenState(other);
-  ResetNeighborCache();
-}
-
-KnowledgeGraph& KnowledgeGraph::operator=(const KnowledgeGraph& other) {
-  if (this == &other) return *this;
-  entities_ = other.entities_;
-  predicate_labels_ = other.predicate_labels_;
-  edges_ = other.edges_;
-  num_triples_ = other.num_triples_;
-  by_qid_ = other.by_qid_;
-  by_label_ = other.by_label_;
-  AdoptFrozenState(other);
-  ResetNeighborCache();
-  return *this;
-}
-
-KnowledgeGraph::KnowledgeGraph(KnowledgeGraph&& other) noexcept
-    : entities_(std::move(other.entities_)),
-      predicate_labels_(std::move(other.predicate_labels_)),
-      edges_(std::move(other.edges_)),
-      num_triples_(other.num_triples_),
-      by_qid_(std::move(other.by_qid_)),
-      by_label_(std::move(other.by_label_)) {
-  AdoptFrozenState(other);
-  other.frozen_ = false;
-  other.flat_edges_ = nullptr;
-  other.edge_offsets_ = nullptr;
-  other.flat_neighbors_ = nullptr;
-  other.neighbor_offsets_ = nullptr;
-  other.qid_sorted_ = nullptr;
-  other.qid_sorted_count_ = 0;
-  other.label_sorted_ = nullptr;
-  other.num_triples_ = 0;
-  other.ResetNeighborCache();
-  ResetNeighborCache();
-}
-
-KnowledgeGraph& KnowledgeGraph::operator=(KnowledgeGraph&& other) noexcept {
-  if (this == &other) return *this;
-  entities_ = std::move(other.entities_);
-  predicate_labels_ = std::move(other.predicate_labels_);
-  edges_ = std::move(other.edges_);
-  num_triples_ = other.num_triples_;
-  by_qid_ = std::move(other.by_qid_);
-  by_label_ = std::move(other.by_label_);
-  AdoptFrozenState(other);
-  other.frozen_ = false;
-  other.flat_edges_ = nullptr;
-  other.edge_offsets_ = nullptr;
-  other.flat_neighbors_ = nullptr;
-  other.neighbor_offsets_ = nullptr;
-  other.qid_sorted_ = nullptr;
-  other.qid_sorted_count_ = 0;
-  other.label_sorted_ = nullptr;
-  other.num_triples_ = 0;
-  other.ResetNeighborCache();
-  ResetNeighborCache();
-  return *this;
-}
-
 EntityId KnowledgeGraph::AddEntity(Entity entity) {
-  KGLINK_CHECK(!frozen_) << "AddEntity on a frozen (snapshot-backed) graph";
-  EntityId id = static_cast<EntityId>(entities_.size());
-  if (!entity.qid.empty()) {
-    auto [it, inserted] = by_qid_.emplace(entity.qid, id);
-    KGLINK_CHECK(inserted) << "duplicate qid " << entity.qid;
-  }
-  by_label_[entity.label].push_back(id);
+  KGLINK_CHECK(!frozen_) << "AddEntity on a frozen graph";
   entities_.push_back(std::move(entity));
-  edges_.emplace_back();
-  neighbor_cache_.emplace_back();
-  neighbor_cache_valid_.emplace_back(false);
-  return id;
+  return static_cast<EntityId>(entities_.size() - 1);
 }
 
 PredicateId KnowledgeGraph::AddPredicate(const std::string& label) {
-  KGLINK_CHECK(!frozen_) << "AddPredicate on a frozen (snapshot-backed) graph";
+  KGLINK_CHECK(!frozen_) << "AddPredicate on a frozen graph";
   predicate_labels_.push_back(label);
   return static_cast<PredicateId>(predicate_labels_.size() - 1);
 }
 
 void KnowledgeGraph::AddTriple(EntityId subject, PredicateId predicate,
                                EntityId object) {
-  KGLINK_CHECK(!frozen_) << "AddTriple on a frozen (snapshot-backed) graph";
+  KGLINK_CHECK(!frozen_) << "AddTriple on a frozen graph";
   KGLINK_CHECK(subject >= 0 && subject < num_entities());
   KGLINK_CHECK(object >= 0 && object < num_entities());
   KGLINK_CHECK(predicate >= 0 && predicate < num_predicates());
-  edges_[subject].push_back({predicate, object, /*forward=*/true});
-  edges_[object].push_back({predicate, subject, /*forward=*/false});
-  // Mutation is construction-time-only with respect to concurrent readers
-  // (see NeighborSet), so relaxed invalidation is sufficient.
-  neighbor_cache_valid_[subject].store(false, std::memory_order_relaxed);
-  neighbor_cache_valid_[object].store(false, std::memory_order_relaxed);
+  triples_.push_back({subject, predicate, object});
   ++num_triples_;
 }
 
-StatusOr<KnowledgeGraph> KnowledgeGraph::FromFrozen(
+Status KnowledgeGraph::Finalize() {
+  KGLINK_CHECK(!frozen_) << "Finalize on a frozen graph";
+  const size_t n = entities_.size();
+  auto t = std::make_shared<OwnedTopology>();
+
+  // Lookup indexes first: a duplicate qid leaves the graph unfrozen.
+  for (size_t i = 0; i < n; ++i) {
+    if (!entities_[i].qid.empty()) {
+      t->qid_sorted.push_back(static_cast<EntityId>(i));
+    }
+  }
+  auto qid_of = [this](EntityId id) -> const std::string& {
+    return entities_[static_cast<size_t>(id)].qid;
+  };
+  std::sort(t->qid_sorted.begin(), t->qid_sorted.end(),
+            [&](EntityId a, EntityId b) { return qid_of(a) < qid_of(b); });
+  auto dup = std::adjacent_find(
+      t->qid_sorted.begin(), t->qid_sorted.end(),
+      [&](EntityId a, EntityId b) { return qid_of(a) == qid_of(b); });
+  if (dup != t->qid_sorted.end()) {
+    return Status::Corruption("duplicate qid " + qid_of(*dup));
+  }
+  t->label_sorted.resize(n);
+  std::iota(t->label_sorted.begin(), t->label_sorted.end(), 0);
+  std::sort(t->label_sorted.begin(), t->label_sorted.end(),
+            [this](EntityId a, EntityId b) {
+              const std::string& la = entities_[static_cast<size_t>(a)].label;
+              const std::string& lb = entities_[static_cast<size_t>(b)].label;
+              return la != lb ? la < lb : a < b;
+            });
+
+  // Edges: a counting sort by entity that keeps each entity's edges in
+  // triple insertion order (subject side before object side).
+  t->edge_offsets.assign(n + 1, 0);
+  for (const Triple& tr : triples_) {
+    ++t->edge_offsets[static_cast<size_t>(tr.subject) + 1];
+    ++t->edge_offsets[static_cast<size_t>(tr.object) + 1];
+  }
+  for (size_t i = 0; i < n; ++i) t->edge_offsets[i + 1] += t->edge_offsets[i];
+  t->edges.resize(t->edge_offsets[n]);
+  std::vector<uint64_t> cursor(t->edge_offsets.begin(),
+                               t->edge_offsets.end() - 1);
+  for (const Triple& tr : triples_) {
+    t->edges[cursor[static_cast<size_t>(tr.subject)]++] = {
+        tr.predicate, tr.object, /*forward=*/true};
+    t->edges[cursor[static_cast<size_t>(tr.object)]++] = {
+        tr.predicate, tr.subject, /*forward=*/false};
+  }
+  triples_ = {};
+
+  // Neighbours: each entity's edge targets, sorted and deduplicated.
+  t->neighbor_offsets.reserve(n + 1);
+  t->neighbors.reserve(t->edges.size());
+  for (size_t i = 0; i < n; ++i) {
+    const size_t begin = t->neighbors.size();
+    t->neighbor_offsets.push_back(begin);
+    for (uint64_t e = t->edge_offsets[i]; e < t->edge_offsets[i + 1]; ++e) {
+      t->neighbors.push_back(t->edges[e].target);
+    }
+    auto first = t->neighbors.begin() + static_cast<std::ptrdiff_t>(begin);
+    std::sort(first, t->neighbors.end());
+    t->neighbors.erase(std::unique(first, t->neighbors.end()),
+                       t->neighbors.end());
+  }
+  t->neighbor_offsets.push_back(t->neighbors.size());
+
+  topo_.num_entities = n;
+  topo_.edges = t->edges.data();
+  topo_.edge_offsets = t->edge_offsets.data();
+  topo_.neighbors = t->neighbors.data();
+  topo_.neighbor_offsets = t->neighbor_offsets.data();
+  topo_.qid_sorted = t->qid_sorted.data();
+  topo_.qid_sorted_count = t->qid_sorted.size();
+  topo_.label_sorted = t->label_sorted.data();
+  owned_ = std::move(t);
+  frozen_ = true;
+  return Status::Ok();
+}
+
+FrozenTopologyView KnowledgeGraph::View() const {
+  CheckFrozen();
+  return topo_;
+}
+
+KnowledgeGraph KnowledgeGraph::FromFrozen(
     std::vector<Entity> entities, std::vector<std::string> predicate_labels,
     int64_t num_triples, const FrozenTopologyView& topo) {
   KGLINK_CHECK_EQ(static_cast<int64_t>(topo.num_entities),
@@ -150,33 +156,13 @@ StatusOr<KnowledgeGraph> KnowledgeGraph::FromFrozen(
   kg.predicate_labels_ = std::move(predicate_labels);
   kg.entities_ = std::move(entities);
   kg.num_triples_ = num_triples;
-  if (topo.qid_sorted != nullptr && topo.label_sorted != nullptr) {
-    // Borrow the pre-sorted indexes; building the two hash maps would
-    // otherwise dominate a snapshot load.
-    kg.qid_sorted_ = topo.qid_sorted;
-    kg.qid_sorted_count_ = topo.qid_sorted_count;
-    kg.label_sorted_ = topo.label_sorted;
-  } else {
-    kg.by_qid_.reserve(kg.entities_.size());
-    kg.by_label_.reserve(kg.entities_.size());
-    for (size_t i = 0; i < kg.entities_.size(); ++i) {
-      const Entity& e = kg.entities_[i];
-      if (!e.qid.empty()) {
-        auto [it, inserted] =
-            kg.by_qid_.emplace(e.qid, static_cast<EntityId>(i));
-        if (!inserted) {
-          return Status::Corruption("duplicate qid " + e.qid);
-        }
-      }
-      kg.by_label_[e.label].push_back(static_cast<EntityId>(i));
-    }
-  }
+  kg.topo_ = topo;
   kg.frozen_ = true;
-  kg.flat_edges_ = topo.edges;
-  kg.edge_offsets_ = topo.edge_offsets;
-  kg.flat_neighbors_ = topo.neighbors;
-  kg.neighbor_offsets_ = topo.neighbor_offsets;
   return kg;
+}
+
+void KnowledgeGraph::CheckFrozen() const {
+  KGLINK_CHECK(frozen_) << "read of a KnowledgeGraph before Finalize()";
 }
 
 const Entity& KnowledgeGraph::entity(EntityId id) const {
@@ -190,82 +176,51 @@ const std::string& KnowledgeGraph::predicate_label(PredicateId id) const {
 }
 
 EntityId KnowledgeGraph::FindByQid(const std::string& qid) const {
-  if (qid_sorted_ != nullptr) {
-    if (qid.empty()) return kInvalidEntity;  // empty qids are never indexed
-    const EntityId* end = qid_sorted_ + qid_sorted_count_;
-    const EntityId* it = std::lower_bound(
-        qid_sorted_, end, qid,
-        [this](EntityId id, const std::string& q) {
-          return entities_[static_cast<size_t>(id)].qid < q;
-        });
-    if (it != end && entities_[static_cast<size_t>(*it)].qid == qid) {
-      return *it;
-    }
-    return kInvalidEntity;
-  }
-  auto it = by_qid_.find(qid);
-  return it == by_qid_.end() ? kInvalidEntity : it->second;
+  CheckFrozen();
+  if (qid.empty()) return kInvalidEntity;  // empty qids are never indexed
+  const EntityId* end = topo_.qid_sorted + topo_.qid_sorted_count;
+  const EntityId* it = std::lower_bound(
+      topo_.qid_sorted, end, qid, [this](EntityId id, const std::string& q) {
+        return entities_[static_cast<size_t>(id)].qid < q;
+      });
+  if (it != end && entities_[static_cast<size_t>(*it)].qid == qid) return *it;
+  return kInvalidEntity;
 }
 
 std::vector<EntityId> KnowledgeGraph::FindByLabel(
     const std::string& label) const {
-  if (label_sorted_ != nullptr) {
-    const EntityId* end = label_sorted_ + entities_.size();
-    const EntityId* lo = std::lower_bound(
-        label_sorted_, end, label,
-        [this](EntityId id, const std::string& l) {
-          return entities_[static_cast<size_t>(id)].label < l;
-        });
-    std::vector<EntityId> out;
-    // Ties sort by id, so this matches the owned map's insertion order.
-    for (; lo != end && entities_[static_cast<size_t>(*lo)].label == label;
-         ++lo) {
-      out.push_back(*lo);
-    }
-    return out;
+  CheckFrozen();
+  const EntityId* end = topo_.label_sorted + entities_.size();
+  const EntityId* lo = std::lower_bound(
+      topo_.label_sorted, end, label,
+      [this](EntityId id, const std::string& l) {
+        return entities_[static_cast<size_t>(id)].label < l;
+      });
+  std::vector<EntityId> out;
+  // Ties sort by id, so matches come out in id order.
+  for (; lo != end && entities_[static_cast<size_t>(*lo)].label == label;
+       ++lo) {
+    out.push_back(*lo);
   }
-  auto it = by_label_.find(label);
-  return it == by_label_.end() ? std::vector<EntityId>{} : it->second;
+  return out;
 }
 
 Span<Edge> KnowledgeGraph::Edges(EntityId id) const {
+  CheckFrozen();
   KGLINK_CHECK(id >= 0 && id < num_entities());
-  size_t i = static_cast<size_t>(id);
-  if (frozen_) {
-    uint64_t begin = edge_offsets_[i];
-    uint64_t end = edge_offsets_[i + 1];
-    return {flat_edges_ + begin, static_cast<size_t>(end - begin)};
-  }
-  const std::vector<Edge>& v = edges_[i];
-  return {v.data(), v.size()};
+  const size_t i = static_cast<size_t>(id);
+  const uint64_t begin = topo_.edge_offsets[i];
+  return {topo_.edges + begin,
+          static_cast<size_t>(topo_.edge_offsets[i + 1] - begin)};
 }
 
 Span<EntityId> KnowledgeGraph::NeighborSet(EntityId id) const {
+  CheckFrozen();
   KGLINK_CHECK(id >= 0 && id < num_entities());
-  size_t i = static_cast<size_t>(id);
-  if (frozen_) {
-    uint64_t begin = neighbor_offsets_[i];
-    uint64_t end = neighbor_offsets_[i + 1];
-    return {flat_neighbors_ + begin, static_cast<size_t>(end - begin)};
-  }
-  // Fast path: the flag's release store in the fill below makes the cached
-  // vector visible to this acquire load.
-  if (neighbor_cache_valid_[i].load(std::memory_order_acquire)) {
-    const std::vector<EntityId>& v = neighbor_cache_[i];
-    return {v.data(), v.size()};
-  }
-  std::lock_guard<std::mutex> lock(neighbor_mu_);
-  if (!neighbor_cache_valid_[i].load(std::memory_order_relaxed)) {
-    std::vector<EntityId> nbrs;
-    nbrs.reserve(edges_[i].size());
-    for (const Edge& e : edges_[i]) nbrs.push_back(e.target);
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-    neighbor_cache_[i] = std::move(nbrs);
-    neighbor_cache_valid_[i].store(true, std::memory_order_release);
-  }
-  const std::vector<EntityId>& v = neighbor_cache_[i];
-  return {v.data(), v.size()};
+  const size_t i = static_cast<size_t>(id);
+  const uint64_t begin = topo_.neighbor_offsets[i];
+  return {topo_.neighbors + begin,
+          static_cast<size_t>(topo_.neighbor_offsets[i + 1] - begin)};
 }
 
 bool KnowledgeGraph::IsNeighbor(EntityId id, EntityId candidate) const {
@@ -363,16 +318,14 @@ StatusOr<KnowledgeGraph> KnowledgeGraph::LoadFromFile(
       kg.AddEntity(std::move(e));
     } else if (fields[0] == "T") {
       if (fields.size() != 4) return Status::Corruption("bad T record");
-      int s = 0, p = 0, o = 0;
-      double tmp = 0;
-      if (!ParseDouble(fields[1], &tmp)) return Status::Corruption("bad T");
-      s = static_cast<int>(tmp);
-      if (!ParseDouble(fields[2], &tmp)) return Status::Corruption("bad T");
-      p = static_cast<int>(tmp);
-      if (!ParseDouble(fields[3], &tmp)) return Status::Corruption("bad T");
-      o = static_cast<int>(tmp);
-      if (s < 0 || s >= kg.num_entities() || o < 0 ||
-          o >= kg.num_entities() || p < 0 || p >= kg.num_predicates()) {
+      EntityId s = 0, o = 0;
+      PredicateId p = 0;
+      if (!ParseId(fields[1], &s) || !ParseId(fields[2], &p) ||
+          !ParseId(fields[3], &o)) {
+        return Status::Corruption("bad T record: " + line);
+      }
+      if (s >= kg.num_entities() || o >= kg.num_entities() ||
+          p >= kg.num_predicates()) {
         return Status::Corruption("triple references unknown id");
       }
       kg.AddTriple(s, p, o);
@@ -380,6 +333,7 @@ StatusOr<KnowledgeGraph> KnowledgeGraph::LoadFromFile(
       return Status::Corruption("unknown record type: " + fields[0]);
     }
   }
+  KGLINK_RETURN_IF_ERROR(kg.Finalize());
   return kg;
 }
 

@@ -3,26 +3,23 @@
 // `instance of` / `subclass of`), and one-hop neighbourhood queries — the
 // exact surface KGLink's Part-1 algorithms consume.
 //
-// Topology storage comes in two flavours behind one query surface:
-//  - owned: AddEntity/AddTriple build per-entity edge vectors and a lazily
-//    cached neighbour set;
-//  - frozen: FromFrozen() borrows flat edge / neighbour arrays from an
-//    external read-only mapping (the mmap'd snapshot store) — the big
-//    arrays are never copied; only entity/predicate string metadata and
-//    the qid/label hash indexes are materialized at load.
-// Edges() and NeighborSet() return Spans so callers cannot tell which
-// flavour they are reading; the snapshot parity tests pin the two
-// bit-identical. Frozen graphs reject mutation (checked).
+// The graph is built, then frozen. AddEntity/AddPredicate/AddTriple only
+// append build-time state; Finalize() compacts it into flat CSR arrays
+// (per-entity edges in insertion order, sorted unique neighbour lists, and
+// sorted qid / label indexes) and frees the build state. FromFrozen()
+// instead borrows the same arrays from an external read-only mapping (the
+// mmap'd snapshot store), copying only entity/predicate strings. Either
+// way every topology read and lookup goes through one FrozenTopologyView:
+// plain array reads, no cache and no locks. The snapshot parity tests pin
+// owned and borrowed graphs bit-identical. Topology reads before the graph
+// is frozen, and mutation after, are checked errors.
 #ifndef KGLINK_KG_KNOWLEDGE_GRAPH_H_
 #define KGLINK_KG_KNOWLEDGE_GRAPH_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/span.h"
@@ -62,22 +59,18 @@ static_assert(offsetof(Edge, predicate) == 0 && offsetof(Edge, target) == 4 &&
                   offsetof(Edge, forward) == 8,
               "Edge layout is part of the snapshot format");
 
-// Borrowed view of a frozen topology: flat CSR-style arrays owned by
-// someone else (a read-only snapshot mapping that must outlive any graph
-// constructed from it). Neighbour lists are precomputed sorted+deduped per
-// entity, so the frozen graph needs no lazy cache or locking.
+// View of a frozen topology: flat CSR-style arrays, either owned by a
+// finalized graph or borrowed from a read-only snapshot mapping that must
+// outlive any graph constructed from it. Neighbour lists are sorted and
+// deduplicated per entity. qid_sorted lists the entities with a non-empty
+// qid in strictly ascending qid order; label_sorted lists every entity in
+// (label, id) order. FindByQid/FindByLabel binary-search them in place.
 struct FrozenTopologyView {
   uint64_t num_entities = 0;
   const Edge* edges = nullptr;             // [edge_offsets[num_entities]]
   const uint64_t* edge_offsets = nullptr;  // [num_entities + 1]
   const EntityId* neighbors = nullptr;  // [neighbor_offsets[num_entities]]
   const uint64_t* neighbor_offsets = nullptr;  // [num_entities + 1]
-  // Optional sorted lookup indexes. When provided, FromFrozen builds no
-  // qid/label hash maps — FindByQid/FindByLabel binary-search these arrays
-  // in place (the dominant cost of a snapshot load otherwise). qid_sorted
-  // lists the entities with a non-empty qid in strictly ascending qid
-  // order; label_sorted lists every entity in (label, id) order. The
-  // caller must have verified the ordering (the snapshot loader does).
   const EntityId* qid_sorted = nullptr;    // [qid_sorted_count]
   uint64_t qid_sorted_count = 0;
   const EntityId* label_sorted = nullptr;  // [num_entities]
@@ -89,41 +82,40 @@ class KnowledgeGraph {
   static constexpr PredicateId kInstanceOf = 0;
   static constexpr PredicateId kSubclassOf = 1;
 
+  // Copies and moves are the defaults: a copy shares the immutable frozen
+  // topology (owned arrays are reference-counted; borrowed ones stay
+  // borrowed from the same mapping).
   KnowledgeGraph();
 
-  // Copies and moves are supported (the graph is returned by value from
-  // LoadFromFile and embedded in data::World); the lazy neighbour cache
-  // and its synchronization state are reset rather than transferred, so
-  // they rebuild on first use. Copying a *frozen* graph yields another
-  // borrowed view of the same external mapping (the flat arrays are not
-  // duplicated). Not safe concurrently with readers of either side.
-  KnowledgeGraph(const KnowledgeGraph& other);
-  KnowledgeGraph& operator=(const KnowledgeGraph& other);
-  KnowledgeGraph(KnowledgeGraph&& other) noexcept;
-  KnowledgeGraph& operator=(KnowledgeGraph&& other) noexcept;
-
   // ----- construction -----
-  // Mutators are a checked programming error on a frozen graph.
+  // Mutators are a checked programming error once the graph is frozen.
   EntityId AddEntity(Entity entity);
   PredicateId AddPredicate(const std::string& label);
   void AddTriple(EntityId subject, PredicateId predicate, EntityId object);
 
-  // Builds a graph whose topology *borrows* `topo`'s flat arrays — no edge
-  // or neighbour copies; entity/predicate metadata and the qid/label maps
-  // are materialized from the (already-parsed) arguments. The memory
-  // behind `topo` must outlive the returned graph. The caller is
-  // responsible for having bounds-checked the view (the snapshot loader
-  // validates sections before handing views out). When `topo` carries the
-  // sorted lookup indexes, no hash maps are built and this always
-  // succeeds (the caller verified ordering, which implies unique qids);
-  // without them the maps are materialized here and duplicate non-empty
-  // qids are reported as kCorruption.
-  static StatusOr<KnowledgeGraph> FromFrozen(
-      std::vector<Entity> entities,
-      std::vector<std::string> predicate_labels, int64_t num_triples,
-      const FrozenTopologyView& topo);
+  // Freezes the graph into the CSR layout the snapshot store writes and
+  // frees the build-time state. Duplicate non-empty qids are reported as
+  // kCorruption (the graph then stays unfrozen). Must run before any
+  // topology read or lookup.
+  Status Finalize();
 
-  // True when the topology lives in external memory (FromFrozen).
+  // View over this graph's frozen arrays, suitable for snapshot
+  // serialization. Valid only while the graph (or a copy) is alive.
+  // Requires frozen().
+  FrozenTopologyView View() const;
+
+  // Builds a graph whose topology *borrows* `topo`'s arrays — no edge,
+  // neighbour or index copies; entity/predicate metadata is taken from the
+  // (already-parsed) arguments. The memory behind `topo` must outlive the
+  // returned graph. The caller is responsible for having bounds- and
+  // order-checked the view (the snapshot loader validates sections before
+  // handing views out).
+  static KnowledgeGraph FromFrozen(std::vector<Entity> entities,
+                                   std::vector<std::string> predicate_labels,
+                                   int64_t num_triples,
+                                   const FrozenTopologyView& topo);
+
+  // True once Finalize() or FromFrozen() produced the topology.
   bool frozen() const { return frozen_; }
 
   // ----- lookup -----
@@ -135,22 +127,16 @@ class KnowledgeGraph {
   const Entity& entity(EntityId id) const;
   const std::string& predicate_label(PredicateId id) const;
   EntityId FindByQid(const std::string& qid) const;
-  // All entities whose primary label matches exactly (case-sensitive).
+  // All entities whose primary label matches exactly (case-sensitive), in
+  // id order.
   std::vector<EntityId> FindByLabel(const std::string& label) const;
 
   // ----- topology -----
   // All edges incident to `id` (both directions), insertion order.
   Span<Edge> Edges(EntityId id) const;
   // Deduplicated, sorted one-hop neighbour entity ids (both directions).
-  // Owned graphs build this lazily and cache it (invalidated by AddTriple);
-  // frozen graphs read the precomputed lists straight from the mapping.
-  //
-  // Thread-safety: safe to call concurrently with other const lookups once
-  // construction is over (the serving contract for the whole class —
-  // mutators must not run concurrently with readers). The lazy cache fill
-  // uses a per-entity published flag with double-checked locking, so the
-  // common already-cached read is one acquire load; the frozen path is a
-  // plain array read.
+  // Thread-safety: every const query on a frozen graph is a plain read of
+  // immutable arrays, safe from any number of threads.
   Span<EntityId> NeighborSet(EntityId id) const;
   // True if `candidate` is a one-hop neighbour of `id`.
   bool IsNeighbor(EntityId id, EntityId candidate) const;
@@ -163,45 +149,28 @@ class KnowledgeGraph {
   bool IsSubtypeOf(EntityId a, EntityId b) const;
 
   // ----- persistence (TSV) -----
+  // Requires frozen(); LoadFromFile returns a frozen graph.
   Status SaveToFile(const std::string& path) const;
   static StatusOr<KnowledgeGraph> LoadFromFile(const std::string& path);
 
  private:
-  // Empties the cache and re-sizes the flag deque to the entity count.
-  void ResetNeighborCache();
-  // Copies the frozen borrow state from `other` (used by copy/move ops).
-  void AdoptFrozenState(const KnowledgeGraph& other);
+  struct Triple {
+    EntityId subject;
+    PredicateId predicate;
+    EntityId object;
+  };
+  struct OwnedTopology;  // the arrays Finalize() builds
+
+  void CheckFrozen() const;
 
   std::vector<Entity> entities_;
   std::vector<std::string> predicate_labels_;
-  std::vector<std::vector<Edge>> edges_;  // per entity, both directions
   int64_t num_triples_ = 0;
-  std::unordered_map<std::string, EntityId> by_qid_;
-  std::unordered_map<std::string, std::vector<EntityId>> by_label_;
+  std::vector<Triple> triples_;  // build-time only; freed by Finalize()
 
-  // Frozen (borrowed) topology; set only by FromFrozen. When frozen_ is
-  // true, edges_ and the neighbour cache stay empty and every topology
-  // read goes through these pointers into the external mapping.
   bool frozen_ = false;
-  const Edge* flat_edges_ = nullptr;
-  const uint64_t* edge_offsets_ = nullptr;
-  const EntityId* flat_neighbors_ = nullptr;
-  const uint64_t* neighbor_offsets_ = nullptr;
-  // Borrowed sorted lookup indexes (see FrozenTopologyView). When set,
-  // by_qid_/by_label_ stay empty and lookups binary-search these instead.
-  const EntityId* qid_sorted_ = nullptr;
-  uint64_t qid_sorted_count_ = 0;
-  const EntityId* label_sorted_ = nullptr;
-
-  // Lazy neighbour-set cache (cleared on mutation; unused when frozen).
-  // The ready flags are per-entity atomics (a deque so growth never moves
-  // existing elements); a set flag published with release order guarantees
-  // the cached vector is visible to any reader that observed the flag with
-  // acquire order. vector<bool> is unusable here: neighbouring bits share
-  // a byte, so even distinct-entity writes would race.
-  mutable std::vector<std::vector<EntityId>> neighbor_cache_;
-  mutable std::deque<std::atomic<bool>> neighbor_cache_valid_;
-  mutable std::mutex neighbor_mu_;  // serializes cache fills only
+  std::shared_ptr<const OwnedTopology> owned_;  // null when borrowed
+  FrozenTopologyView topo_;  // into *owned_ or the external mapping
 };
 
 }  // namespace kglink::kg

@@ -607,21 +607,16 @@ StatusOr<kg::KnowledgeGraph> Snapshot::MakeKg() {
       SectionData(*Find(SectionId::kKgNeighbors).value()));
   topo.neighbor_offsets = reinterpret_cast<const uint64_t*>(
       SectionData(*Find(SectionId::kKgNeighborOffsets).value()));
-  // Sorted lookup indexes, validated above; the frozen graph searches
-  // them in place instead of building qid/label hash maps.
+  // Sorted lookup indexes, validated above; the graph searches them in
+  // place.
   topo.qid_sorted = reinterpret_cast<const kg::EntityId*>(
       SectionData(*Find(SectionId::kKgQidIndex).value()));
   topo.qid_sorted_count = meta.num_qid_entries;
   topo.label_sorted = reinterpret_cast<const kg::EntityId*>(
       SectionData(*Find(SectionId::kKgLabelIndex).value()));
-  auto graph = kg::KnowledgeGraph::FromFrozen(std::move(parsed),
-                                              std::move(predicate_labels),
-                                              meta.num_triples, topo);
-  if (!graph.ok()) {
-    return CorruptSection(SectionId::kKgEntities,
-                          std::string(graph.status().message()));
-  }
-  return graph;
+  return kg::KnowledgeGraph::FromFrozen(std::move(parsed),
+                                       std::move(predicate_labels),
+                                       meta.num_triples, topo);
 }
 
 }  // namespace kglink::store

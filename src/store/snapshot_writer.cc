@@ -4,7 +4,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -60,7 +59,11 @@ Status WriteSnapshot(const std::string& path, const kg::KnowledgeGraph& kg,
   if (!engine.finalized()) {
     return Status::FailedPrecondition("snapshot of a non-finalized engine");
   }
+  if (!kg.frozen()) {
+    return Status::FailedPrecondition("snapshot of a non-finalized graph");
+  }
   const search::FrozenIndexView index = engine.View();
+  const kg::FrozenTopologyView topo = kg.View();
 
   std::vector<SectionPayload> sections;
   sections.reserve(kNumSections);
@@ -105,13 +108,7 @@ Status WriteSnapshot(const std::string& path, const kg::KnowledgeGraph& kg,
   std::string entities;
   std::string aliases;
   std::string predicates;
-  std::string edge_offsets;
-  std::string edges;
-  std::string neighbor_offsets;
-  std::string neighbors;
   uint64_t num_aliases = 0;
-  uint64_t num_edges = 0;
-  uint64_t num_neighbors = 0;
 
   for (kg::EntityId id = 0; id < num_entities; ++id) {
     const kg::Entity& e = kg.entity(id);
@@ -139,48 +136,16 @@ Status WriteSnapshot(const std::string& path, const kg::KnowledgeGraph& kg,
   for (kg::PredicateId p = 0; p < kg.num_predicates(); ++p) {
     AppendPod(predicates, AddString(strings, kg.predicate_label(p)));
   }
-  for (kg::EntityId id = 0; id < num_entities; ++id) {
-    AppendPod(edge_offsets, num_edges);
-    for (const kg::Edge& e : kg.Edges(id)) {
-      AppendEdge(edges, e);
-      ++num_edges;
-    }
-  }
-  AppendPod(edge_offsets, num_edges);
-  for (kg::EntityId id = 0; id < num_entities; ++id) {
-    AppendPod(neighbor_offsets, num_neighbors);
-    for (kg::EntityId nbr : kg.NeighborSet(id)) {
-      AppendPod(neighbors, nbr);
-      ++num_neighbors;
-    }
-  }
-  AppendPod(neighbor_offsets, num_neighbors);
-
-  // Sorted lookup indexes: the frozen graph binary-searches these borrowed
-  // arrays, so the writer pays the sort once and loads build no hash maps.
-  std::vector<kg::EntityId> qid_sorted;
-  qid_sorted.reserve(num_entities);
-  std::vector<kg::EntityId> label_sorted;
-  label_sorted.reserve(num_entities);
-  for (kg::EntityId id = 0; id < num_entities; ++id) {
-    if (!kg.entity(id).qid.empty()) qid_sorted.push_back(id);
-    label_sorted.push_back(id);
-  }
-  std::sort(qid_sorted.begin(), qid_sorted.end(),
-            [&kg](kg::EntityId a, kg::EntityId b) {
-              return kg.entity(a).qid < kg.entity(b).qid;
-            });
-  std::sort(label_sorted.begin(), label_sorted.end(),
-            [&kg](kg::EntityId a, kg::EntityId b) {
-              const std::string& la = kg.entity(a).label;
-              const std::string& lb = kg.entity(b).label;
-              return la != lb ? la < lb : a < b;
-            });
-  std::string qid_index(reinterpret_cast<const char*>(qid_sorted.data()),
-                        qid_sorted.size() * sizeof(kg::EntityId));
-  std::string label_index(
-      reinterpret_cast<const char*>(label_sorted.data()),
-      label_sorted.size() * sizeof(kg::EntityId));
+  // Topology: the graph's frozen CSR arrays, byte for byte.
+  auto bytes = [](const auto* data, uint64_t count) {
+    return std::string(reinterpret_cast<const char*>(data),
+                       count * sizeof(*data));
+  };
+  const uint64_t num_edges = topo.edge_offsets[num_entities];
+  const uint64_t num_neighbors = topo.neighbor_offsets[num_entities];
+  std::string edges;
+  edges.reserve(num_edges * sizeof(kg::Edge));
+  for (uint64_t i = 0; i < num_edges; ++i) AppendEdge(edges, topo.edges[i]);
 
   {
     KgMeta meta;
@@ -191,19 +156,20 @@ Status WriteSnapshot(const std::string& path, const kg::KnowledgeGraph& kg,
     meta.num_neighbors = num_neighbors;
     meta.string_blob_size = strings.size();
     meta.num_triples = kg.num_triples();
-    meta.num_qid_entries = qid_sorted.size();
+    meta.num_qid_entries = topo.qid_sorted_count;
     AppendPod(add(SectionId::kKgMeta), meta);
   }
   add(SectionId::kKgStrings) = std::move(strings);
   add(SectionId::kKgEntities) = std::move(entities);
   add(SectionId::kKgAliases) = std::move(aliases);
   add(SectionId::kKgPredicates) = std::move(predicates);
-  add(SectionId::kKgEdgeOffsets) = std::move(edge_offsets);
+  add(SectionId::kKgEdgeOffsets) = bytes(topo.edge_offsets, num_entities + 1);
   add(SectionId::kKgEdges) = std::move(edges);
-  add(SectionId::kKgNeighborOffsets) = std::move(neighbor_offsets);
-  add(SectionId::kKgNeighbors) = std::move(neighbors);
-  add(SectionId::kKgQidIndex) = std::move(qid_index);
-  add(SectionId::kKgLabelIndex) = std::move(label_index);
+  add(SectionId::kKgNeighborOffsets) =
+      bytes(topo.neighbor_offsets, num_entities + 1);
+  add(SectionId::kKgNeighbors) = bytes(topo.neighbors, num_neighbors);
+  add(SectionId::kKgQidIndex) = bytes(topo.qid_sorted, topo.qid_sorted_count);
+  add(SectionId::kKgLabelIndex) = bytes(topo.label_sorted, num_entities);
 
   // ----- assemble: header, section table, header crc, payloads, footer --
   uint64_t header_area = sizeof(SnapshotHeader) +

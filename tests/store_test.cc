@@ -133,6 +133,7 @@ TEST_F(StoreTest, RoundTripKgParity) {
   const kg::KnowledgeGraph& orig = world_->kg;
 
   EXPECT_TRUE(mapped.frozen());
+  EXPECT_TRUE(orig.frozen());
   ASSERT_EQ(mapped.num_entities(), orig.num_entities());
   EXPECT_EQ(mapped.num_triples(), orig.num_triples());
   ASSERT_EQ(mapped.num_predicates(), orig.num_predicates());
@@ -150,8 +151,8 @@ TEST_F(StoreTest, RoundTripKgParity) {
     ASSERT_EQ(a.is_person, b.is_person);
     ASSERT_EQ(a.is_date, b.is_date);
     EXPECT_EQ(mapped.FindByQid(a.qid), id);
-    // Label lookup goes through the borrowed sorted index on the frozen
-    // side; results must match the owned hash map, order included.
+    // Label lookup binary-searches the sorted index on both sides; the
+    // owned and borrowed arrays must agree, order included.
     EXPECT_EQ(mapped.FindByLabel(a.label), orig.FindByLabel(a.label));
 
     auto ea = orig.Edges(id);
@@ -166,6 +167,14 @@ TEST_F(StoreTest, RoundTripKgParity) {
     auto nb = mapped.NeighborSet(id);
     ASSERT_EQ(na.size(), nb.size()) << "entity " << id;
     for (size_t i = 0; i < na.size(); ++i) ASSERT_EQ(na[i], nb[i]);
+  }
+  // Neighbourhoods are symmetric on both graphs: b in N(a) iff a in N(b).
+  for (const kg::KnowledgeGraph* g : {&orig, &mapped}) {
+    for (kg::EntityId a = 0; a < g->num_entities(); ++a) {
+      for (kg::EntityId b : g->NeighborSet(a)) {
+        ASSERT_TRUE(g->IsNeighbor(b, a)) << a << " -> " << b;
+      }
+    }
   }
   // Derived queries ride on the same topology.
   for (kg::EntityId id = 0; id < orig.num_entities();
@@ -196,11 +205,29 @@ TEST_F(StoreTest, WriterIsDeterministic) {
   auto bytes_b = ReadFile(b);
   ASSERT_TRUE(bytes_a.ok() && bytes_b.ok());
   EXPECT_EQ(*bytes_a, *bytes_b);
+
+  // Re-writing from the loaded, borrowed graph and engine gives the same
+  // bytes: owned and mapped topologies share one layout.
+  auto snap = Snapshot::Open(a);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  auto kg = (*snap)->MakeKg();
+  auto engine = (*snap)->MakeEngine();
+  ASSERT_TRUE(kg.ok() && engine.ok());
+  std::string c = Path("c");
+  ASSERT_TRUE(WriteSnapshot(c, *kg, *engine, {}).ok());
+  auto bytes_c = ReadFile(c);
+  ASSERT_TRUE(bytes_c.ok());
+  EXPECT_EQ(*bytes_a, *bytes_c);
 }
 
 TEST_F(StoreTest, UnfinalizedEngineRejected) {
   search::SearchEngine empty;
   Status s = WriteSnapshot(Path("snap"), world_->kg, empty, {});
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+
+  kg::KnowledgeGraph unfinalized;
+  unfinalized.AddEntity({"Q1", "a", {}, "", false, false, false});
+  s = WriteSnapshot(Path("snap"), unfinalized, *engine_, {});
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 }
 
