@@ -11,17 +11,17 @@
 //      and the queue stays bounded (max observed depth ≤ max_queue).
 //   4. Optional --check-determinism: the single-threaded-submission batch
 //      mode twice under the same fault seed (static admission, brownout
-//      and breakers off) must produce byte-identical result checksums.
+//      off) must produce byte-identical result checksums.
 //
 // Emits BENCH_load.json. The machine-portable gate metric is
 // load.goodput_vs_peak (ratio — overload goodput relative to the same
 // machine's no-fault peak); absolute rates/latencies are tracked
 // informationally. Goodput counts every answered request (ok + degraded):
-// under faults the retry budget and breakers convert fault-hit tables to
-// the cheap PLM-only fallback, so the ratio legitimately lands *above*
-// 1.0 on a healthy run — degraded answers cost less than full ones. The
-// floor is what matters: a refuse storm, retry storm or unbounded queue
-// drags answered throughput below it.
+// under faults the retry budget converts fault-hit tables to the cheap
+// PLM-only fallback, so the ratio legitimately lands *above* 1.0 on a
+// healthy run — degraded answers cost less than full ones. The floor is
+// what matters: a refuse storm, retry storm or unbounded queue drags
+// answered throughput below it.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -180,8 +180,8 @@ int main(int argc, char** argv) {
       "admission, the brownout ladder and the retry budget engaged. The "
       "gate is goodput retention relative to the same machine's peak.");
 
-  // The same deliberately small model as bench_serve: this harness
-  // measures the overload machinery, not model quality.
+  // A deliberately small model: this harness measures the overload
+  // machinery, not model quality.
   core::KgLinkOptions o;
   o.epochs = 2;
   o.encoder.dim = 24;
@@ -367,7 +367,7 @@ int main(int argc, char** argv) {
   }
 
   // Phase 3 (optional): per-seed determinism of the chaos batch mode.
-  // Single-threaded submission, static admission, brownout + breakers off;
+  // Single-threaded submission, static admission, brownout off;
   // per-request fault streams make the 4-thread worker pool immaterial.
   if (flags.check_determinism) {
     serve::LoadgenOptions batch = lg;
@@ -386,7 +386,6 @@ int main(int argc, char** argv) {
       serve::ServiceOptions so;
       so.num_threads = flags.threads;
       so.max_queue = 4096;
-      so.enable_circuit_breakers = false;
       serve::AnnotationService service(&annotator, so);
       serve::BatchResult r = serve::RunBatch(service, tables, 128, batch);
       checksums[round] = r.checksum;

@@ -105,6 +105,29 @@ linker::ProcessedTable KgLinkAnnotator::Preprocess(
   return pipeline_.Process(t, rc);
 }
 
+Status KgLinkAnnotator::GatePredict(const table::Table& t,
+                                    const RequestContext* rc,
+                                    linker::ProcessedTable* processed) const {
+  robust::TableOpContext ctx(
+      pipeline_.config().retry, pipeline_.config().fault_budget,
+      robust::FaultInjector::Global().seed() ^
+          (rc != nullptr ? rc->stream_key : 0),
+      rc);
+  if (ctx.Attempt(robust::FaultSite::kPredict)) return Status::Ok();
+  const char* reason = ctx.degrade_reason();
+  bool expiry = std::strcmp(reason, "deadline") == 0 ||
+                std::strcmp(reason, "cancelled") == 0;
+  if (!expiry) {
+    return Status::Unavailable(
+        std::string("predict failed at fault site ") +
+        robust::FaultSiteName(robust::FaultSite::kPredict));
+  }
+  if (!processed->degraded) {
+    *processed = pipeline_.ProcessDegraded(t, reason);
+  }
+  return Status::Ok();
+}
+
 AnnotateOutcome KgLinkAnnotator::AnnotateTable(const table::Table& t,
                                                const RequestContext* rc) {
   AnnotateOutcome out;
@@ -113,31 +136,8 @@ AnnotateOutcome KgLinkAnnotator::AnnotateTable(const table::Table& t,
     return out;
   }
   linker::ProcessedTable processed = pipeline_.Process(t, rc);
-
-  // Gate the PLM inference pass itself ("predict" fault site). A deadline
-  // or cancellation here swaps in the degraded table — the forward pass
-  // still runs (it is the cheap, bounded PLM-only fallback) so the caller
-  // always gets full-width predictions; only a hard post-retry failure of
-  // the pass is an error.
-  robust::TableOpContext ctx(
-      pipeline_.config().retry, pipeline_.config().fault_budget,
-      robust::FaultInjector::Global().seed() ^
-          (rc != nullptr ? rc->stream_key : 0),
-      rc);
-  if (!ctx.Attempt(robust::FaultSite::kPredict)) {
-    const char* reason = ctx.degrade_reason();
-    bool expiry = std::strcmp(reason, "deadline") == 0 ||
-                  std::strcmp(reason, "cancelled") == 0;
-    if (!expiry) {
-      out.status = Status::Unavailable(
-          std::string("predict failed at fault site ") +
-          robust::FaultSiteName(robust::FaultSite::kPredict));
-      return out;
-    }
-    if (!processed.degraded) {
-      processed = pipeline_.ProcessDegraded(t, reason);
-    }
-  }
+  out.status = GatePredict(t, rc, &processed);
+  if (!out.status.ok()) return out;
 
   {
     KGLINK_SCOPE(rc, obs::Stage::kEncode);
@@ -185,25 +185,8 @@ std::vector<AnnotateOutcome> KgLinkAnnotator::AnnotateBatch(
     Entry& e = entries[i];
     const RequestContext* rc = rcs[i];
     e.processed = pipeline_.Process(*tables[i], rc);
-    robust::TableOpContext ctx(
-        pipeline_.config().retry, pipeline_.config().fault_budget,
-        robust::FaultInjector::Global().seed() ^
-            (rc != nullptr ? rc->stream_key : 0),
-        rc);
-    if (!ctx.Attempt(robust::FaultSite::kPredict)) {
-      const char* reason = ctx.degrade_reason();
-      bool expiry = std::strcmp(reason, "deadline") == 0 ||
-                    std::strcmp(reason, "cancelled") == 0;
-      if (!expiry) {
-        out[i].status = Status::Unavailable(
-            std::string("predict failed at fault site ") +
-            robust::FaultSiteName(robust::FaultSite::kPredict));
-        continue;
-      }
-      if (!e.processed.degraded) {
-        e.processed = pipeline_.ProcessDegraded(*tables[i], reason);
-      }
-    }
+    out[i].status = GatePredict(*tables[i], rc, &e.processed);
+    if (!out[i].status.ok()) continue;
 
     e.chunks = serializer_->Serialize(e.processed, LabelSlot::kMask, nullptr,
                                       options_.use_candidate_types);

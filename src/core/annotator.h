@@ -175,6 +175,15 @@ class KgLinkAnnotator : public eval::ColumnAnnotator {
   using EncodeFn = std::function<nn::Tensor(const std::vector<int>& tokens,
                                             const std::vector<int>& segments)>;
 
+  // Gates the PLM inference pass itself ("predict" fault site) for one
+  // request whose Part-1 output is `*processed`. A deadline or
+  // cancellation swaps in `t`'s degraded table — the forward pass still
+  // runs (it is the cheap, bounded PLM-only fallback) so the caller always
+  // gets full-width predictions; only a hard post-retry failure of the
+  // pass is an error (kUnavailable).
+  Status GatePredict(const table::Table& t, const RequestContext* rc,
+                     linker::ProcessedTable* processed) const;
+
   // Builds the vocabulary from training-table text, candidate types,
   // feature sequences and label names.
   void BuildVocabulary(const std::vector<PreparedTable>& prepared);

@@ -1,25 +1,12 @@
 #include "kg/knowledge_graph.h"
 
 #include <algorithm>
-#include <charconv>
 #include <numeric>
 
 #include "util/csv.h"
 #include "util/string_util.h"
 
 namespace kglink::kg {
-
-namespace {
-
-// Parses an exact non-negative decimal id: digits only, no sign, no
-// fraction or exponent, and in int32 range.
-bool ParseId(const std::string& s, int32_t* out) {
-  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-}  // namespace
 
 struct KnowledgeGraph::OwnedTopology {
   std::vector<uint64_t> edge_offsets;
@@ -320,8 +307,9 @@ StatusOr<KnowledgeGraph> KnowledgeGraph::LoadFromFile(
       if (fields.size() != 4) return Status::Corruption("bad T record");
       EntityId s = 0, o = 0;
       PredicateId p = 0;
-      if (!ParseId(fields[1], &s) || !ParseId(fields[2], &p) ||
-          !ParseId(fields[3], &o)) {
+      if (!ParseNonNegativeInt(fields[1], &s) ||
+          !ParseNonNegativeInt(fields[2], &p) ||
+          !ParseNonNegativeInt(fields[3], &o)) {
         return Status::Corruption("bad T record: " + line);
       }
       if (s >= kg.num_entities() || o >= kg.num_entities() ||

@@ -4,7 +4,7 @@
 // the service adds queue wait and the post-process remainder, the linker
 // adds link/cell-cache time and cache hit counts, the search engine adds
 // TopK time, the annotator adds the encoder forward pass, and the robust
-// layer counts retries / degrades / breaker short-circuits.
+// layer counts retries and degrades.
 //
 // Cost model: a request is handled by exactly one worker thread at a time,
 // so the record needs no atomics — stage accounting is plain uint64 adds
@@ -51,10 +51,9 @@ inline const char* StageName(Stage stage) {
 struct RequestTelemetry {
   uint64_t stage_us[kNumTelemetryStages] = {};
   uint64_t stage_calls[kNumTelemetryStages] = {};
-  uint64_t retries = 0;                 // backoff sleeps taken
-  uint64_t degrade_events = 0;          // TableOpContext::Degrade flips
-  uint64_t breaker_short_circuits = 0;  // open-breaker fail-fasts
-  uint64_t cache_hits = 0;              // cell-link cache
+  uint64_t retries = 0;         // backoff sleeps taken
+  uint64_t degrade_events = 0;  // TableOpContext::Degrade flips
+  uint64_t cache_hits = 0;      // cell-link cache
   uint64_t cache_misses = 0;
 
   void AddStage(Stage stage, uint64_t us) {
@@ -77,8 +76,8 @@ struct RequestTelemetry {
   uint64_t TotalStageUs() const;
 
   // {"stages": {"queue_wait_us": …, "link_us": …, ...}, "stage_total_us": …,
-  //  "retries": …, "degrade_events": …, "breaker_short_circuits": …,
-  //  "cache_hits": …, "cache_misses": …}
+  //  "retries": …, "degrade_events": …, "cache_hits": …,
+  //  "cache_misses": …}
   // Stage values are the exclusive times.
   std::string Json() const;
 };

@@ -1,5 +1,6 @@
 #include "robust/fault_injector.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +20,14 @@ constexpr const char* kSiteNames[kNumFaultSites] = {
     "train.batch", "predict",      "io.mmap",    "store.load",
     "encode.bad_token",
 };
+
+// Parses a probability in [0, 1], consuming the whole field. Written so a
+// NaN fails the range check.
+bool ParseProbability(const std::string& s, double* out) {
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+  return ec == std::errc() && ptr == s.data() + s.size() && *out >= 0.0 &&
+         *out <= 1.0;
+}
 
 // Registered once; indexed by site for lock-free updates on the fault path.
 obs::Counter& SiteTripCounter(FaultSite site) {
@@ -120,16 +129,11 @@ Status FaultInjector::ConfigureFromSpec(std::string_view spec,
       return Status::InvalidArgument("unknown fault site: " + parts[0]);
     }
     FaultRule rule;
-    if (!ParseDouble(parts[1], &rule.probability) ||
-        rule.probability < 0.0 || rule.probability > 1.0) {
+    if (!ParseProbability(parts[1], &rule.probability)) {
       return Status::InvalidArgument("bad fault probability: " + parts[1]);
     }
-    if (parts.size() == 3) {
-      double latency = 0.0;
-      if (!ParseDouble(parts[2], &latency) || latency < 0.0) {
-        return Status::InvalidArgument("bad fault latency: " + parts[2]);
-      }
-      rule.latency_us = static_cast<int64_t>(latency);
+    if (parts.size() == 3 && !ParseNonNegativeInt(parts[2], &rule.latency_us)) {
+      return Status::InvalidArgument("bad fault latency: " + parts[2]);
     }
     rules[*site] = rule;
   }

@@ -78,6 +78,8 @@ class FaultInjector {
 
   // Parses "site:prob[:latency_us]" comma-separated, e.g.
   // "search.topk:0.1,io.read:0.05:250". Empty spec clears all rules.
+  // prob must be a number in [0, 1] and latency_us a non-negative integer;
+  // anything else is InvalidArgument and leaves the rules unchanged.
   Status ConfigureFromSpec(std::string_view spec, uint64_t seed);
 
   // Clears every rule and turns the fast path back off.

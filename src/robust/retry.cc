@@ -7,7 +7,6 @@
 
 #include "obs/metrics.h"
 #include "obs/request_telemetry.h"
-#include "robust/circuit_breaker.h"
 #include "robust/retry_budget.h"
 
 namespace kglink::robust {
@@ -17,14 +16,12 @@ namespace {
 struct RobustMetrics {
   obs::Counter& retries;
   obs::Counter& failed_ops;
-  obs::Counter& breaker_rejects;
 
   static RobustMetrics& Get() {
     auto& reg = obs::MetricsRegistry::Global();
     static RobustMetrics& m = *new RobustMetrics{
         reg.GetCounter("robust.retries"),
-        reg.GetCounter("robust.failed_ops"),
-        reg.GetCounter("robust.breaker_rejects")};
+        reg.GetCounter("robust.failed_ops")};
     return m;
   }
 };
@@ -146,38 +143,6 @@ bool TableOpContext::Attempt(FaultSite site) {
   if (request_ != nullptr && CheckDeadline()) return false;
   if (!FaultInjector::Enabled()) return true;
   if (CheckDeadline()) return false;
-  bool hard_failure = false;
-  if (BreakerRegistry::Enabled()) {
-    CircuitBreaker& breaker = BreakerRegistry::Global().ForSite(site);
-    if (!breaker.Allow()) {
-      // Open breaker: fail fast without retries or sleeps. Charged as a
-      // failed op so the table budget still governs how many sites may be
-      // skipped before the whole table degrades. No outcome is recorded —
-      // the operation never ran, so it says nothing about site health.
-      RobustMetrics::Get().breaker_rejects.Add();
-      RobustMetrics::Get().failed_ops.Add();
-      if (obs::RequestTelemetry* t = obs::TelemetryOf(request_)) {
-        ++t->breaker_short_circuits;
-      }
-      if (++failed_ops_ > budget_.max_failed_ops) {
-        Degrade("fault budget exhausted");
-      }
-      return false;
-    }
-    bool proceed = AttemptRetryLoop(site, &hard_failure);
-    // Only post-retry hard failures feed the breaker; deadline/cancel and
-    // retry-budget exits say nothing about the site itself.
-    if (proceed) {
-      breaker.RecordSuccess();
-    } else if (hard_failure) {
-      breaker.RecordFailure();
-    }
-    return proceed;
-  }
-  return AttemptRetryLoop(site, &hard_failure);
-}
-
-bool TableOpContext::AttemptRetryLoop(FaultSite site, bool* hard_failure) {
   for (int attempt = 0;; ++attempt) {
     if (!RollFault(site)) return true;
     if (attempt + 1 >= policy_.max_attempts) break;  // retries exhausted
@@ -187,10 +152,7 @@ bool TableOpContext::AttemptRetryLoop(FaultSite site, bool* hard_failure) {
     }
     if (!internal::RetryAllowed()) {
       // The process-wide budget is spent: degrade this table instead of
-      // adding retry traffic to a correlated fault burst. Reported as a
-      // hard failure so the site's breaker sees the pressure too — the
-      // operation did fail at least once to get here.
-      *hard_failure = true;
+      // adding retry traffic to a correlated fault burst.
       Degrade("retry budget exhausted");
       return false;
     }
@@ -207,7 +169,6 @@ bool TableOpContext::AttemptRetryLoop(FaultSite site, bool* hard_failure) {
     std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
     if (CheckDeadline()) return false;
   }
-  *hard_failure = true;
   RobustMetrics::Get().failed_ops.Add();
   if (++failed_ops_ > budget_.max_failed_ops) {
     Degrade("fault budget exhausted");

@@ -17,9 +17,7 @@
 // (seeded from the injector seed and the request's stream key), so trip
 // decisions are deterministic per seed no matter how worker threads
 // interleave. Retries also stop early when the backoff sleep could not
-// finish before the request deadline, and each gated site consults its
-// circuit breaker (when breakers are enabled) so a tripped site fails
-// fast instead of burning retries.
+// finish before the request deadline.
 //
 // Both retry loops additionally sit under the process-wide RetryBudget
 // (robust/retry_budget.h) when it is enabled: each backoff-retry takes one
@@ -75,15 +73,14 @@ class TableOpContext {
 
   // Gate for one fallible operation at `site`. Returns true when the
   // operation may proceed (possibly after retries); false when it failed
-  // hard, its circuit breaker is open, or the context is degraded. Cheap
-  // no-op branch when fault injection is disabled.
+  // hard or the context is degraded. Cheap no-op branch when fault
+  // injection is disabled.
   bool Attempt(FaultSite site);
 
   // Single-draw fault gate for soft sites (drop-one-lookup degradation:
-  // no retries, no budget charge, no breaker involvement). Draws from the
-  // per-request stream when one is attached; independent of degraded
-  // state, so callers on already-degraded paths still get a stable draw
-  // sequence.
+  // no retries, no budget charge). Draws from the per-request stream when
+  // one is attached; independent of degraded state, so callers on
+  // already-degraded paths still get a stable draw sequence.
   bool SoftFault(FaultSite site);
 
   // Degrades with the appropriate reason ("cancelled" / "deadline") when
@@ -105,10 +102,6 @@ class TableOpContext {
   bool DeadlineExpired();
   // One fault-injection roll at `site` from this context's stream.
   bool RollFault(FaultSite site);
-  // The roll-retry-backoff loop behind Attempt. Sets *hard_failure when
-  // the operation exhausted its per-op retries (the signal circuit
-  // breakers feed on), as opposed to deadline/cancellation/budget exits.
-  bool AttemptRetryLoop(FaultSite site, bool* hard_failure);
 
   RetryPolicy policy_;
   TableBudget budget_;

@@ -11,9 +11,8 @@
 //
 // Disabled by default (Enabled() is one relaxed atomic load); the serving
 // layer enables it for the process while an AnnotationService with a
-// retry-budget configuration is live, mirroring BreakerRegistry. The
-// refill clock is injectable so tests drive exhaustion and recovery
-// deterministically.
+// retry-budget configuration is live. The refill clock is injectable so
+// tests drive exhaustion and recovery deterministically.
 #ifndef KGLINK_ROBUST_RETRY_BUDGET_H_
 #define KGLINK_ROBUST_RETRY_BUDGET_H_
 

@@ -138,9 +138,6 @@ AnnotationService::AnnotationService(core::KgLinkAnnotator* annotator,
       std::make_unique<BrownoutController>(options_.brownout, options_.clock);
   for (auto& c : completed_) c.store(0, std::memory_order_relaxed);
   for (auto& c : tier_completed_) c.store(0, std::memory_order_relaxed);
-  if (options_.enable_circuit_breakers) {
-    robust::BreakerRegistry::Global().Enable(options_.breaker);
-  }
   if (options_.retry_budget_per_second > 0.0) {
     robust::RetryBudgetOptions budget;
     budget.tokens_per_second = options_.retry_budget_per_second;
@@ -624,9 +621,6 @@ void AnnotationService::Shutdown() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  if (options_.enable_circuit_breakers) {
-    robust::BreakerRegistry::Global().Disable();
-  }
   if (options_.retry_budget_per_second > 0.0) {
     robust::RetryBudget::Global().Disable();
   }
@@ -757,18 +751,6 @@ std::string AnnotationService::HealthJson() const {
   }
   // Profiler run state + heap/process memory; refreshes process.mem.*.
   out += ", \"profile\": " + obs::Profiler::Global().StatusJson();
-  if (robust::BreakerRegistry::Enabled()) {
-    out += ", \"breakers\": {";
-    for (int i = 0; i < robust::kNumFaultSites; ++i) {
-      auto site = static_cast<robust::FaultSite>(i);
-      if (i > 0) out += ", ";
-      out += std::string("\"") + robust::FaultSiteName(site) + "\": \"" +
-             robust::BreakerStateName(
-                 robust::BreakerRegistry::Global().ForSite(site).state()) +
-             "\"";
-    }
-    out += "}";
-  }
   out += "}";
   return out;
 }

@@ -1,18 +1,14 @@
-// AnnotationService: concurrent table annotation with deadlines, admission
-// control and circuit breakers — the serving harness around
-// core::KgLinkAnnotator.
+// AnnotationService: concurrent table annotation with deadlines and
+// admission control — the serving harness around core::KgLinkAnnotator.
 //
-// Architecture (one PR-sized subsystem, three cooperating pieces):
+// Architecture (three cooperating pieces):
 //
 //   Submit ──► admission controller ──► bounded queue ──► worker pool
 //                │ (full queue)                             │
-//                └─► shed: degraded PLM-only run inline,    ├─► deadline /
-//                    or kOverloaded when the deadline       │   cancellation
-//                    cannot even fit that                   │   propagate to
-//                                                          │   every layer
-//                                                          └─► per-site
-//                                                              circuit
-//                                                              breakers
+//                └─► shed: degraded PLM-only run inline,    └─► deadline /
+//                    or kOverloaded when the deadline           cancellation
+//                    cannot even fit that                       propagate to
+//                                                               every layer
 //
 // - Every request carries a Deadline + CancellationToken (RequestContext)
 //   through linker::KgPipeline, search::SearchEngine::TopK and the predict
@@ -31,12 +27,9 @@
 //   carries the tier it ran at, and non-full tiers mark degrade_reason
 //   ("brownout:cache_only" / "brownout:plm_only") so eval reports stay
 //   apples-to-apples per tier.
-// - Per-site circuit breakers (the fault-injection site names: search.topk,
-//   kg.neighbors, predict, ...) trip on rolling post-retry error rates and
-//   fail fast while open, with half-open probes after a cooldown.
-// - Health/readiness: HealthJson() snapshots queue depth, inflight count,
-//   per-status totals and breaker states; the same numbers are exported
-//   through the obs metrics registry ("serve.*").
+// - Health/readiness: HealthJson() snapshots queue depth, inflight count
+//   and per-status totals; the same numbers are exported through the obs
+//   metrics registry ("serve.*").
 //
 // Thread safety: all public methods are safe from any thread. The borrowed
 // annotator must have finished Fit/Load before the first Submit, and
@@ -60,7 +53,6 @@
 #include "core/annotator.h"
 #include "obs/request_telemetry.h"
 #include "obs/rolling_window.h"
-#include "robust/circuit_breaker.h"
 #include "serve/overload.h"
 #include "store/snapshot_store.h"
 #include "table/table.h"
@@ -82,8 +74,6 @@ struct ServiceOptions {
   // Applied to Submit calls that do not bring their own deadline;
   // 0 = unbounded.
   int64_t default_deadline_us = 0;
-  bool enable_circuit_breakers = true;
-  robust::CircuitBreakerOptions breaker;
 
   // Latency SLO surfaced by HealthJson(): target end-to-end latency, the
   // fraction of requests required to meet it, and the two burn-rate
@@ -168,8 +158,7 @@ struct AnnotationResult {
 class AnnotationService {
  public:
   // `annotator` is borrowed and must outlive the service; Fit/Load must
-  // have completed. Enables the process-wide circuit breakers when
-  // options.enable_circuit_breakers is set (disabled again on Shutdown).
+  // have completed.
   AnnotationService(core::KgLinkAnnotator* annotator, ServiceOptions options);
   ~AnnotationService();  // implies Shutdown()
 
@@ -232,14 +221,12 @@ class AnnotationService {
   //              [,mapped_bytes,resident_bytes][,last_error]},
   //  "cell_cache":{capacity,size,hits,misses,evictions},
   //  "profile":{running,hz,ticks,samples,…,heap:{…},
-  //             process:{rss_bytes,peak_rss_bytes,arena_bytes}},
-  //  "breakers":{site:state,…}}
+  //             process:{rss_bytes,peak_rss_bytes,arena_bytes}}}
   // "window"/"slo" cover the sliding windows configured in ServiceOptions
   // (not cumulative-since-start). snapshot appears only after
   // AttachSnapshotStore (mapped/resident bytes once a generation is
   // adopted — a mincore scan refreshed per render, -1 where unsupported);
-  // cell_cache only when the annotator's cell-link cache is enabled;
-  // breaker states only while breakers are enabled.
+  // cell_cache only when the annotator's cell-link cache is enabled.
   std::string HealthJson() const;
 
   // Total requests that finished with `status` (includes shed/overloaded

@@ -102,7 +102,7 @@ struct BatchResult {
 // Submits `count` zipf-picked requests from a single thread (stream keys —
 // and with them the per-request fault streams — follow submission order),
 // then folds every result into a checksum. Byte-identical per seed when
-// the service runs with static admission, brownout off and breakers off.
+// the service runs with static admission and brownout off.
 BatchResult RunBatch(AnnotationService& service,
                      const std::vector<const table::Table*>& tables,
                      int count, const LoadgenOptions& options);

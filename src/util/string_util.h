@@ -3,6 +3,7 @@
 #define KGLINK_UTIL_STRING_UTIL_H_
 
 #include <cctype>
+#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,6 +67,15 @@ bool LooksLikeNumber(std::string_view s);
 
 // Parses s as double; returns false on failure.
 bool ParseDouble(std::string_view s, double* out);
+
+// Parses s as an exact non-negative decimal integer: digits only (no sign,
+// fraction, exponent or surrounding text) and in T's range.
+template <typename T>
+bool ParseNonNegativeInt(std::string_view s, T* out) {
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+  return ec == std::errc() && ptr == s.data() + s.size();
+}
 
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

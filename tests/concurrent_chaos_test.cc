@@ -16,7 +16,6 @@
 #include "core/annotator.h"
 #include "data/corpus_gen.h"
 #include "data/world.h"
-#include "robust/circuit_breaker.h"
 #include "robust/fault_injector.h"
 #include "search/search_engine.h"
 #include "serve/annotation_service.h"
@@ -67,7 +66,6 @@ class ConcurrentChaosTest : public ::testing::Test {
 
   void TearDown() override {
     robust::FaultInjector::Global().Disable();
-    robust::BreakerRegistry::Global().Disable();
   }
 
   struct RunOutcome {
@@ -76,28 +74,47 @@ class ConcurrentChaosTest : public ::testing::Test {
     std::vector<std::pair<RequestStatus, std::vector<int>>> results;
   };
 
-  // Submits every table through a fresh 8-thread service; every odd
-  // submission carries an already-spent deadline. The queue is sized so
-  // admission never sheds — the deterministic chaos contract covers the
-  // ok/degraded split, and shed/overloaded must be exactly zero.
-  static RunOutcome RunChaos(bool enable_breakers) {
+  // Submits every table through a fresh 8-thread service with default
+  // options under the fault spec `faults` seeded with `seed`; with
+  // `expire_odd`, every odd submission carries an already-spent deadline.
+  // The queue is sized so admission never sheds — the deterministic chaos
+  // contract covers the ok/degraded split, and shed/overloaded must be
+  // exactly zero.
+  static RunOutcome RunChaos(const char* faults, uint64_t seed,
+                             bool expire_odd) {
+    EXPECT_TRUE(
+        robust::FaultInjector::Global().ConfigureFromSpec(faults, seed).ok());
     ServiceOptions so;
     so.num_threads = 8;
     so.max_queue = static_cast<int>(tables_.size()) + 1;
-    so.enable_circuit_breakers = enable_breakers;
     RunOutcome out;
-    AnnotationService service(annotator_, so);
-    std::vector<std::future<AnnotationResult>> futures;
-    for (size_t i = 0; i < tables_.size(); ++i) {
-      Deadline d = (i % 2 == 1) ? Deadline::Expired() : Deadline::Infinite();
-      futures.push_back(service.Submit(*tables_[i], d));
+    {
+      AnnotationService service(annotator_, so);
+      std::vector<std::future<AnnotationResult>> futures;
+      for (size_t i = 0; i < tables_.size(); ++i) {
+        Deadline d = (expire_odd && i % 2 == 1) ? Deadline::Expired()
+                                                : Deadline::Infinite();
+        futures.push_back(service.Submit(*tables_[i], d));
+      }
+      for (auto& f : futures) {
+        AnnotationResult r = f.get();
+        ++out.status_counts[RequestStatusName(r.status)];
+        out.results.emplace_back(r.status, std::move(r.predictions));
+      }
     }
-    for (auto& f : futures) {
-      AnnotationResult r = f.get();
-      ++out.status_counts[RequestStatusName(r.status)];
-      out.results.emplace_back(r.status, std::move(r.predictions));
-    }
+    robust::FaultInjector::Global().Disable();
     return out;
+  }
+
+  // Two runs agree on every status counter, per-request status and
+  // prediction.
+  static void ExpectIdenticalRuns(const RunOutcome& a, const RunOutcome& b) {
+    EXPECT_EQ(a.status_counts, b.status_counts);
+    ASSERT_EQ(a.results.size(), b.results.size());
+    for (size_t i = 0; i < a.results.size(); ++i) {
+      EXPECT_EQ(a.results[i].first, b.results[i].first) << "request " << i;
+      EXPECT_EQ(a.results[i].second, b.results[i].second) << "request " << i;
+    }
   }
 
   static data::World* world_;
@@ -115,26 +132,12 @@ std::vector<const table::Table*> ConcurrentChaosTest::tables_;
 TEST_F(ConcurrentChaosTest, EightThreadChaosIsDeterministicPerSeed) {
   // Two identically seeded runs — 8 threads, 10% search faults, half the
   // requests pre-expired — must produce identical per-request statuses,
-  // identical predictions and identical status counters. Breakers stay off
-  // here: their rolling window orders outcomes by wall-clock completion,
-  // which is the one deliberately schedule-dependent piece.
+  // identical predictions and identical status counters.
   RunOutcome runs[2];
-  for (int run = 0; run < 2; ++run) {
-    ASSERT_TRUE(robust::FaultInjector::Global()
-                    .ConfigureFromSpec("search.topk:0.1", 42)
-                    .ok());
-    runs[run] = RunChaos(/*enable_breakers=*/false);
-    robust::FaultInjector::Global().Disable();
+  for (auto& run : runs) {
+    run = RunChaos("search.topk:0.1", 42, /*expire_odd=*/true);
   }
-
-  EXPECT_EQ(runs[0].status_counts, runs[1].status_counts);
-  ASSERT_EQ(runs[0].results.size(), runs[1].results.size());
-  for (size_t i = 0; i < runs[0].results.size(); ++i) {
-    EXPECT_EQ(runs[0].results[i].first, runs[1].results[i].first)
-        << "request " << i;
-    EXPECT_EQ(runs[0].results[i].second, runs[1].results[i].second)
-        << "request " << i;
-  }
+  ExpectIdenticalRuns(runs[0], runs[1]);
 
   // Every pre-expired request degraded (never crashed, never partial) and
   // the sized queue kept admission out of the picture entirely.
@@ -176,40 +179,25 @@ TEST_F(ConcurrentChaosTest, SingleThreadServiceMatchesSequentialExactly) {
   }
 }
 
-TEST_F(ConcurrentChaosTest, SurvivesHeavyFaultsWithBreakersEnabled) {
-  // 90% search failure under 8 threads with aggressive breakers: every
-  // request still resolves with full-width predictions (ok or degraded —
-  // nothing sheds, fails or crashes), and the search breaker trips at
-  // least once. Outcome *identity* is schedule-dependent here by design
-  // (the breaker window is shared), so this test asserts survival and
-  // breaker activity, not equality across runs.
-  ASSERT_TRUE(robust::FaultInjector::Global()
-                  .ConfigureFromSpec("search.topk:0.9", 7)
-                  .ok());
-  ServiceOptions so;
-  so.num_threads = 8;
-  so.max_queue = static_cast<int>(tables_.size()) + 1;
-  so.breaker.window = 16;
-  so.breaker.min_samples = 4;
-  so.breaker.failure_ratio = 0.5;
-  so.breaker.open_cooldown_us = 1000;  // exercise half-open probes too
-  AnnotationService service(annotator_, so);
-
-  std::vector<std::future<AnnotationResult>> futures;
-  for (const auto* t : tables_) futures.push_back(service.Submit(*t));
-  for (size_t i = 0; i < futures.size(); ++i) {
-    AnnotationResult r = futures[i].get();
-    ASSERT_TRUE(r.status == RequestStatus::kOk ||
-                r.status == RequestStatus::kDegraded)
-        << "request " << i << ": " << RequestStatusName(r.status);
-    EXPECT_EQ(r.predictions.size(),
+TEST_F(ConcurrentChaosTest, SurvivesHeavyFaultsDeterministically) {
+  // 90% search failure under 8 threads: every request still resolves with
+  // full-width predictions (ok or degraded — nothing sheds, fails or
+  // crashes), and two identically seeded runs agree on every per-request
+  // status and prediction.
+  RunOutcome runs[2];
+  for (auto& run : runs) {
+    run = RunChaos("search.topk:0.9", 7, /*expire_odd=*/false);
+  }
+  ExpectIdenticalRuns(runs[0], runs[1]);
+  for (size_t i = 0; i < runs[0].results.size(); ++i) {
+    RequestStatus status = runs[0].results[i].first;
+    EXPECT_TRUE(status == RequestStatus::kOk ||
+                status == RequestStatus::kDegraded)
+        << "request " << i << ": " << RequestStatusName(status);
+    EXPECT_EQ(runs[0].results[i].second.size(),
               static_cast<size_t>(tables_[i]->num_cols()))
         << "request " << i;
   }
-  EXPECT_GE(robust::BreakerRegistry::Global()
-                .ForSite(robust::FaultSite::kSearchTopK)
-                .trips(),
-            1);
 }
 
 TEST_F(ConcurrentChaosTest, LoadgenBatchChecksumIsByteIdenticalPerSeed) {
@@ -218,8 +206,8 @@ TEST_F(ConcurrentChaosTest, LoadgenBatchChecksumIsByteIdenticalPerSeed) {
   // service with 10% search faults + 1% predict faults fold every result
   // (status, tier, predictions, degrade_reason, in submission order) to
   // the same FNV-1a checksum, while a different seed diverges. Same
-  // conditions as the gate: static admission, brownout off, breakers off,
-  // no deadlines — wall-clock expiry is the one schedule-dependent piece.
+  // conditions as the gate: static admission, brownout off, no deadlines
+  // — wall-clock expiry is the one schedule-dependent piece.
   const char* kFaults = "search.topk:0.1,predict:0.01";
   LoadgenOptions lo;
   lo.seed = 42;
@@ -231,7 +219,6 @@ TEST_F(ConcurrentChaosTest, LoadgenBatchChecksumIsByteIdenticalPerSeed) {
     ServiceOptions so;
     so.num_threads = 4;
     so.max_queue = static_cast<int>(tables_.size()) * 4;
-    so.enable_circuit_breakers = false;
     AnnotationService service(annotator_, so);
     lo.seed = seed;
     BatchResult r = RunBatch(service, tables_, 96, lo);

@@ -3,14 +3,11 @@
 // pipeline's degraded (PLM-only) fallback.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "linker/pipeline.h"
 #include "obs/metrics.h"
-#include "robust/circuit_breaker.h"
 #include "robust/fault_injector.h"
 #include "robust/retry.h"
 #include "search/search_engine.h"
@@ -112,6 +109,20 @@ TEST_F(FaultInjectorTest, SpecParsing) {
   EXPECT_FALSE(inj.ConfigureFromSpec("search.topk:0.5:-3", 1).ok());
   EXPECT_FALSE(inj.ConfigureFromSpec("search.topk", 1).ok());
   EXPECT_FALSE(inj.ConfigureFromSpec("search.topk:0.5:1:2", 1).ok());
+  // The spec is not a table cell: no NaN/inf, currency or percent
+  // decoration, and the latency is an exact integer in int64 range.
+  inj.Disable();
+  for (const char* bad :
+       {"search.topk:nan", "search.topk:inf", "search.topk:0.5%",
+        "search.topk:$0.5", "search.topk:0.5:2.7", "search.topk:0.5:1e30"}) {
+    EXPECT_EQ(inj.ConfigureFromSpec(bad, 1).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_FALSE(FaultInjector::Enabled()) << bad;
+  }
+  ASSERT_TRUE(inj.ConfigureFromSpec("search.topk:1e-1:250", 1).ok());
+  EXPECT_DOUBLE_EQ(inj.RuleFor(FaultSite::kSearchTopK).probability, 0.1);
+  EXPECT_EQ(inj.RuleFor(FaultSite::kSearchTopK).latency_us, 250);
 }
 
 TEST_F(FaultInjectorTest, LatencyRuleSleepsButSucceeds) {
@@ -468,88 +479,6 @@ TEST_F(FaultInjectorTest, SoftFaultDrawsWithoutBudgetOrDegrade) {
 
   FaultInjector::Global().Disable();
   EXPECT_FALSE(ctx.SoftFault(FaultSite::kKgNeighbors));
-}
-
-// --- Circuit breakers ----------------------------------------------------
-
-CircuitBreakerOptions FastBreaker() {
-  CircuitBreakerOptions o;
-  o.window = 8;
-  o.min_samples = 4;
-  o.failure_ratio = 0.5;
-  o.open_cooldown_us = 2000;
-  o.half_open_probes = 1;
-  return o;
-}
-
-TEST(CircuitBreakerTest, TripsOpenAndRecoversThroughHalfOpen) {
-  CircuitBreaker b(FaultSite::kSearchTopK, FastBreaker());
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(b.Allow());
-    b.RecordFailure();
-  }
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_EQ(b.trips(), 1);
-  EXPECT_FALSE(b.Allow());  // fail fast while the cooldown runs
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(b.Allow());  // cooldown elapsed: one half-open probe
-  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-  b.RecordSuccess();
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  // The window was cleared on close: old failures do not linger.
-  b.RecordFailure();
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-}
-
-TEST(CircuitBreakerTest, HalfOpenProbeFailureReopens) {
-  CircuitBreaker b(FaultSite::kIoRead, FastBreaker());
-  for (int i = 0; i < 4; ++i) b.RecordFailure();
-  ASSERT_EQ(b.state(), BreakerState::kOpen);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ASSERT_TRUE(b.Allow());
-  b.RecordFailure();
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_EQ(b.trips(), 2);
-}
-
-TEST(CircuitBreakerTest, HalfOpenAdmitsOnlyConfiguredProbes) {
-  CircuitBreaker b(FaultSite::kIoWrite, FastBreaker());
-  for (int i = 0; i < 4; ++i) b.RecordFailure();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(b.Allow());   // the single probe slot
-  EXPECT_FALSE(b.Allow());  // concurrent calls keep failing fast
-}
-
-TEST(CircuitBreakerTest, StaysClosedBelowFailureRatio) {
-  CircuitBreaker b(FaultSite::kPredict, FastBreaker());
-  for (int i = 0; i < 50; ++i) {
-    b.RecordSuccess();
-    b.RecordSuccess();
-    b.RecordSuccess();
-    b.RecordFailure();  // 25% failure rate, threshold is 50%
-  }
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  EXPECT_EQ(b.trips(), 0);
-}
-
-TEST(CircuitBreakerTest, RegistryGatesAndReconfiguresInPlace) {
-  EXPECT_FALSE(BreakerRegistry::Enabled());
-  CircuitBreaker& before =
-      BreakerRegistry::Global().ForSite(FaultSite::kSearchTopK);
-  BreakerRegistry::Global().Enable(FastBreaker());
-  EXPECT_TRUE(BreakerRegistry::Enabled());
-  CircuitBreaker& after =
-      BreakerRegistry::Global().ForSite(FaultSite::kSearchTopK);
-  // Enable reconfigures the existing objects; references never dangle.
-  EXPECT_EQ(&before, &after);
-
-  for (int i = 0; i < 4; ++i) after.RecordFailure();
-  EXPECT_EQ(after.state(), BreakerState::kOpen);
-  BreakerRegistry::Global().Disable();
-  EXPECT_FALSE(BreakerRegistry::Enabled());
-  EXPECT_EQ(after.state(), BreakerState::kClosed);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // AnnotationService unit tests: deadline short-circuiting at every gated
-// site, admission control (enqueue / shed / refuse), shutdown draining,
-// health reporting and the circuit-breaker integration. The concurrent
-// chaos acceptance lives in concurrent_chaos_test.cc.
+// site, admission control (enqueue / shed / refuse), shutdown draining
+// and health reporting. The concurrent chaos acceptance lives in
+// concurrent_chaos_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include "obs/json_util.h"
 #include "obs/metrics.h"
 #include "obs/request_telemetry.h"
-#include "robust/circuit_breaker.h"
 #include "robust/fault_injector.h"
 #include "search/search_engine.h"
 #include "serve/annotation_service.h"
@@ -64,7 +63,6 @@ class ServeTest : public ::testing::Test {
 
   void TearDown() override {
     robust::FaultInjector::Global().Disable();
-    robust::BreakerRegistry::Global().Disable();
     obs::FlightRecorder::Global().Disable();
   }
 
@@ -308,15 +306,10 @@ TEST_F(ServeTest, HealthJsonReflectsServiceState) {
   EXPECT_NE(health.find("\"threads\": 2"), std::string::npos) << health;
   EXPECT_NE(health.find("\"max_queue\": 8"), std::string::npos) << health;
   EXPECT_NE(health.find("\"ok\": 1"), std::string::npos) << health;
-  // Breakers are enabled while the service runs, so their states appear.
-  EXPECT_NE(health.find("\"search.topk\": \"closed\""), std::string::npos)
-      << health;
 
   service.Shutdown();
   health = service.HealthJson();
   EXPECT_NE(health.find("\"accepting\": false"), std::string::npos) << health;
-  // Shutdown disabled the breakers again; the section disappears.
-  EXPECT_EQ(health.find("\"breakers\""), std::string::npos) << health;
 }
 
 // --- Per-request telemetry, sliding-window health, flight recorder -------
@@ -415,45 +408,6 @@ TEST_F(ServeTest, FlightRecorderCapturesInducedSlowRequest) {
   // stage (exclusive) — that is what must dominate this record.
   EXPECT_GE(stages->NumberOr("link_us", 0.0), 10'000.0);
   EXPECT_GE(stages->NumberOr("topk_us", -1.0), 0.0);  // present
-}
-
-// --- Circuit-breaker integration ----------------------------------------
-
-TEST_F(ServeTest, RepeatedHardFailuresTripTheSearchBreaker) {
-  // Every retrieval fails hard: each table records one post-retry failure
-  // at search.topk, and after min_samples of those the breaker trips open.
-  // Later tables then short-circuit (fail fast to the degraded path)
-  // instead of burning retries.
-  ASSERT_TRUE(robust::FaultInjector::Global()
-                  .ConfigureFromSpec("search.topk:1.0", 3)
-                  .ok());
-  ServiceOptions so;
-  so.num_threads = 1;
-  so.max_queue = 16;
-  so.breaker.window = 8;
-  so.breaker.min_samples = 3;
-  so.breaker.failure_ratio = 0.5;
-  so.breaker.open_cooldown_us = 60'000'000;  // stays open for this test
-  AnnotationService service(annotator_, so);
-
-  int64_t short_circuits_before =
-      obs::MetricsRegistry::Global()
-          .GetCounter("robust.breaker.search.topk.short_circuits")
-          .value();
-  for (int i = 0; i < 6; ++i) {
-    AnnotationResult r = service.Submit(TestTable(static_cast<size_t>(i))).get();
-    EXPECT_EQ(r.status, RequestStatus::kDegraded);
-    EXPECT_EQ(r.predictions.size(),
-              static_cast<size_t>(TestTable(static_cast<size_t>(i)).num_cols()));
-  }
-  robust::CircuitBreaker& breaker = robust::BreakerRegistry::Global().ForSite(
-      robust::FaultSite::kSearchTopK);
-  EXPECT_EQ(breaker.state(), robust::BreakerState::kOpen);
-  EXPECT_GE(breaker.trips(), 1);
-  EXPECT_GT(obs::MetricsRegistry::Global()
-                .GetCounter("robust.breaker.search.topk.short_circuits")
-                .value(),
-            short_circuits_before);
 }
 
 // --- Overload control: CoDel admission and the brownout ladder -----------
