@@ -5,13 +5,13 @@
 //      submit-and-wait, measuring the sustainable no-fault peak goodput.
 //   2. Open-loop overload run at `--rate-multiplier` × that peak (default
 //      2×) with injected faults (default "search.topk:0.1,predict:0.01"),
-//      CoDel admission, the brownout ladder and the process retry budget
-//      all on — the production overload posture. Bursty zipfian arrivals.
+//      CoDel admission and the service's retry budget both on — the
+//      production overload posture. Bursty zipfian arrivals.
 //   3. Gates: goodput under overload ≥ --goodput-floor × peak (0 disables),
 //      and the queue stays bounded (max observed depth ≤ max_queue).
 //   4. Optional --check-determinism: the single-threaded-submission batch
-//      mode twice under the same fault seed (static admission, brownout
-//      off) must produce byte-identical result checksums.
+//      mode twice under the same fault seed (static admission, no retry
+//      budget) must produce byte-identical result checksums.
 //
 // Emits BENCH_load.json. The machine-portable gate metric is
 // load.goodput_vs_peak (ratio — overload goodput relative to the same
@@ -31,9 +31,9 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "obs/metrics.h"
 #include "obs/statsz.h"
 #include "robust/fault_injector.h"
-#include "robust/retry_budget.h"
 #include "serve/annotation_service.h"
 #include "serve/loadgen.h"
 
@@ -177,8 +177,8 @@ int main(int argc, char** argv) {
       "Goodput under overload (load/chaos harness)",
       "Closed-loop capacity probe, then an open-loop overload run at a "
       "multiple of the measured peak with injected faults, CoDel "
-      "admission, the brownout ladder and the retry budget engaged. The "
-      "gate is goodput retention relative to the same machine's peak.");
+      "admission and the retry budget engaged. The gate is goodput "
+      "retention relative to the same machine's peak.");
 
   // A deliberately small model: this harness measures the overload
   // machinery, not model quality.
@@ -257,11 +257,10 @@ int main(int argc, char** argv) {
     so.num_threads = flags.threads;
     so.max_queue = flags.max_queue;
     so.admission = serve::AdmissionMode::kCodel;
-    so.brownout.enabled = true;
     // Admission/SLO targets are scaled to the measured capacity, not
     // hard-coded: one mean service time (threads / peak rate) for the
     // CoDel sojourn target and 12x it for the SLO target. An absolute
-    // target would park the ladder at refuse on any machine where it is
+    // target would shed everything on any machine where it is
     // unachievable (a TSan CI runner is ~10x slower) and achieve nothing
     // on a faster one; scaling keeps the gate about the overload
     // machinery, not the host.
@@ -271,16 +270,6 @@ int main(int argc, char** argv) {
     so.codel.target_us = mean_service_us;
     so.codel.interval_us = 10 * mean_service_us;
     so.slo_target_us = 12 * mean_service_us;
-    // Short/long burn windows and the dwell all fit well inside
-    // duration_s so the ladder can move — and move back.
-    so.slo_short_window_us = 1'000'000;
-    so.slo_long_window_us = 3'000'000;
-    so.brownout.dwell_us = 300'000;
-    // Climb on sustained burn (>2x budget), recover as soon as the short
-    // window is back under budget: a wide band so burst blips do not
-    // ratchet the ladder to refuse and hold it there.
-    so.brownout.step_up_burn = 2.0;
-    so.brownout.step_down_burn = 1.0;
     so.retry_budget_per_second = 25.0;
     serve::AnnotationService service(&annotator, so);
     serve::LoadgenOptions over = lg;
@@ -335,17 +324,14 @@ int main(int argc, char** argv) {
           serve::RequestStatus::kOverloaded)]) /
           submitted,
       "share");
-  for (int i = 0; i < serve::kNumBrownoutTiers; ++i) {
-    bench::RecordBenchMetric(
-        std::string("load.tier_share.") +
-            serve::BrownoutTierName(static_cast<serve::BrownoutTier>(i)),
-        static_cast<double>(overload.by_tier[static_cast<size_t>(i)]) /
-            submitted,
-        "share");
-  }
+  // Only the overload-phase service has a retry budget, so the process
+  // counter is that budget's denials.
   bench::RecordBenchMetric(
       "load.retry_budget_denied",
-      static_cast<double>(robust::RetryBudget::Global().denied()), "count");
+      static_cast<double>(obs::MetricsRegistry::Global()
+                              .GetCounter("robust.retry_budget.denied")
+                              .value()),
+      "count");
   bench::RecordBenchMetric(
       "load.latency_truncations",
       static_cast<double>(
@@ -367,7 +353,7 @@ int main(int argc, char** argv) {
   }
 
   // Phase 3 (optional): per-seed determinism of the chaos batch mode.
-  // Single-threaded submission, static admission, brownout off;
+  // Single-threaded submission, static admission, no retry budget;
   // per-request fault streams make the 4-thread worker pool immaterial.
   if (flags.check_determinism) {
     serve::LoadgenOptions batch = lg;
@@ -407,7 +393,7 @@ int main(int argc, char** argv) {
   if (failed) return 1;
   std::printf(
       "\nNo paper counterpart: KGLink reports offline accuracy only. This "
-      "harness gates the overload posture (CoDel admission, brownout "
-      "ladder, retry budget) added on top.\n");
+      "harness gates the overload posture (CoDel admission, retry "
+      "budget) added on top.\n");
   return 0;
 }

@@ -12,6 +12,7 @@
 //
 // The world/KG is regenerated deterministically from the seed recorded in
 // <dir>/world.seed, so a saved model stays consistent with its KG.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/annotator.h"
 #include "data/corpus_gen.h"
@@ -42,6 +44,7 @@
 #include "table/corpus_io.h"
 #include "util/csv.h"
 #include "util/deadline.h"
+#include "util/string_util.h"
 
 using namespace kglink;
 
@@ -89,7 +92,6 @@ struct Args {
   int cell_cache = 4096;  // --cell-cache N: cell-link cache entries (0=off)
   // Overload control (served eval / load eval).
   std::string admission = "static";  // --admission=codel|static
-  bool brownout = false;             // --brownout: degradation ladder on
   double retry_budget = 0.0;  // --retry-budget N: retry tokens/s (0=off)
   // Load-eval (eval with --load-rate > 0): open-loop arrivals against the
   // service instead of one submission per test table.
@@ -131,13 +133,10 @@ int Usage() {
       "  --admission=MODE static (queue-full bound only, default) or codel\n"
       "                   (CoDel: shed on sustained queue sojourn above\n"
       "                   target — the hard bound still applies)\n"
-      "  --brownout       enable the degradation ladder full -> cache-only\n"
-      "                   linking -> PLM-only -> refuse, stepped by the SLO\n"
-      "                   burn rate with hysteresis; results carry the tier\n"
-      "                   in degrade_reason (\"brownout:...\")\n"
-      "  --retry-budget N process-wide retry token budget (tokens/s, burst\n"
-      "                   2N; 0 = off). An exhausted budget degrades the\n"
-      "                   operation instead of retrying\n"
+      "  --retry-budget N retry token budget shared by the service's\n"
+      "                   requests (tokens/s, burst 2N; 0 = off). An\n"
+      "                   exhausted budget degrades the operation instead\n"
+      "                   of retrying\n"
       "\n"
       "load eval (eval --load-rate R, requires --threads/--model):\n"
       "  --load-rate R         open-loop offered arrivals/s over the test\n"
@@ -217,6 +216,13 @@ int Usage() {
 // section on it for the duration of the serving run.
 std::unique_ptr<obs::StatszDumper> g_statsz;
 
+// Parses a millisecond flag value that is later scaled to microseconds:
+// digits only, and small enough that `* 1000` cannot overflow.
+bool ParseMillis(const char* v, int64_t* out) {
+  return ParseNonNegativeInt(std::string_view(v), out) &&
+         *out <= INT64_MAX / 1000;
+}
+
 bool ParseArgs(int argc, char** argv, Args* args) {
   if (argc < 3) return false;
   args->command = argv[1];
@@ -254,8 +260,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--deadline-ms") {
       const char* v = next();
       if (!v) return false;
-      args->deadline_ms = std::atoll(v);
-      if (args->deadline_ms < 0) return false;
+      if (!ParseMillis(v, &args->deadline_ms)) return false;
     } else if (a == "--max-queue") {
       const char* v = next();
       if (!v) return false;
@@ -289,8 +294,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
                      args->admission.c_str());
         return false;
       }
-    } else if (a == "--brownout") {
-      args->brownout = true;
     } else if (a == "--retry-budget") {
       const char* v = next();
       if (!v) return false;
@@ -327,21 +330,21 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--load-burst-on-ms") {
       const char* v = next();
       if (!v) return false;
-      args->load_burst_on_ms = std::atoll(v);
-      if (args->load_burst_on_ms < 0) return false;
+      if (!ParseMillis(v, &args->load_burst_on_ms)) return false;
     } else if (a.rfind("--load-burst-on-ms=", 0) == 0) {
-      args->load_burst_on_ms =
-          std::atoll(a.c_str() + std::strlen("--load-burst-on-ms="));
-      if (args->load_burst_on_ms < 0) return false;
+      if (!ParseMillis(a.c_str() + std::strlen("--load-burst-on-ms="),
+                       &args->load_burst_on_ms)) {
+        return false;
+      }
     } else if (a == "--load-burst-off-ms") {
       const char* v = next();
       if (!v) return false;
-      args->load_burst_off_ms = std::atoll(v);
-      if (args->load_burst_off_ms < 0) return false;
+      if (!ParseMillis(v, &args->load_burst_off_ms)) return false;
     } else if (a.rfind("--load-burst-off-ms=", 0) == 0) {
-      args->load_burst_off_ms =
-          std::atoll(a.c_str() + std::strlen("--load-burst-off-ms="));
-      if (args->load_burst_off_ms < 0) return false;
+      if (!ParseMillis(a.c_str() + std::strlen("--load-burst-off-ms="),
+                       &args->load_burst_off_ms)) {
+        return false;
+      }
     } else if (a == "--load-seed") {
       const char* v = next();
       if (!v) return false;
@@ -385,18 +388,19 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--slo-ms") {
       const char* v = next();
       if (v == nullptr) return false;
-      args->slo_ms = std::atoll(v);
-      if (args->slo_ms < 1) return false;
+      if (!ParseMillis(v, &args->slo_ms) || args->slo_ms < 1) return false;
     } else if (a == "--slow-ms") {
       const char* v = next();
       if (v == nullptr) return false;
-      args->slow_ms = std::atoll(v);
-      if (args->slow_ms < 1) return false;
+      if (!ParseMillis(v, &args->slow_ms) || args->slow_ms < 1) return false;
     } else if (a == "--slow-every") {
       const char* v = next();
       if (v == nullptr) return false;
-      args->slow_every = std::atoll(v);
-      if (args->slow_every < 1) return false;
+      // The flight recorder samples 1-in-N with a uint32_t counter.
+      if (!ParseNonNegativeInt(std::string_view(v), &args->slow_every) ||
+          args->slow_every < 1 || args->slow_every > UINT32_MAX) {
+        return false;
+      }
     } else if (a.rfind("--slow-log=", 0) == 0) {
       args->slow_log_path = a.substr(std::strlen("--slow-log="));
       if (args->slow_log_path.empty()) return false;
@@ -635,7 +639,6 @@ serve::ServiceOptions ServiceOptionsFromArgs(const Args& args) {
   sopts.admission =
       serve::AdmissionModeFromName(args.admission).value_or(
           serve::AdmissionMode::kStatic);
-  sopts.brownout.enabled = args.brownout;
   sopts.retry_budget_per_second = args.retry_budget;
   return sopts;
 }
@@ -713,16 +716,6 @@ int ServedEval(const Args& args, WorldSource& src,
                   static_cast<long long>(n));
     }
   }
-  if (args.brownout) {
-    for (int t = 0; t < serve::kNumBrownoutTiers; ++t) {
-      auto tier = static_cast<serve::BrownoutTier>(t);
-      int64_t n = service.tier_completed(tier);
-      if (n > 0) {
-        std::printf("  tier %-10s %lld\n", serve::BrownoutTierName(tier),
-                    static_cast<long long>(n));
-      }
-    }
-  }
   if (obs::Profiler::Global().running()) {
     // Hot-frame summary for the serving run (export happens at exit).
     std::fputs(obs::Profiler::Global().SummaryText().c_str(), stdout);
@@ -785,8 +778,7 @@ int Eval(const Args& args) {
   if (args.load_rate > 0) {
     return LoadEval(args, src, annotator, *test);
   }
-  if (args.threads > 1 || args.deadline_ms > 0 || args.brownout ||
-      args.retry_budget > 0 ||
+  if (args.threads > 1 || args.deadline_ms > 0 || args.retry_budget > 0 ||
       args.admission != "static") {
     return ServedEval(args, src, annotator, *test);
   }

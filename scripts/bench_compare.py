@@ -30,9 +30,9 @@ BENCH_load.json (bench_load, the overload/chaos harness) follows these
 conventions: load.goodput_vs_peak is a ratio (higher is better — this is
 the machine-portable gate metric, overload goodput relative to the same
 machine's no-fault peak), load.*_per_second are items_per_second,
-load.p*_latency are seconds, and the shed/refusal/tier mixes are "share"
-(informational: tier_share.full rising is good, refused_share rising is
-bad, so no single direction applies).
+load.p*_latency are seconds, and the shed/refusal mixes are "share"
+(informational: a rising shed share can mean admission control is doing
+its job or that capacity fell, so no single direction applies).
 
 --include SUBSTR (repeatable) restricts the comparison to metrics whose
 bench or metric name contains any given substring — used by the CI

@@ -16,7 +16,6 @@ struct LinkerMetrics {
   obs::Counter& cells_skipped;   // numeric/date cells (linking score 0)
   obs::Counter& cands_retrieved; // raw BM25 candidates
   obs::Counter& cands_kept;      // candidates surviving Eq. 3 pruning
-  obs::Counter& cache_only_misses;  // brownout tier-1 misses left unlinked
 
   static LinkerMetrics& Get() {
     auto& reg = obs::MetricsRegistry::Global();
@@ -24,8 +23,7 @@ struct LinkerMetrics {
         reg.GetCounter("linker.cells.linked"),
         reg.GetCounter("linker.cells.skipped"),
         reg.GetCounter("linker.candidates.retrieved"),
-        reg.GetCounter("linker.candidates.kept"),
-        reg.GetCounter("linker.cache_only.misses")};
+        reg.GetCounter("linker.candidates.kept")};
     return m;
   }
 };
@@ -92,14 +90,6 @@ CellLinks EntityLinker::LinkCell(const table::Cell& cell,
     }
   }
   if (!cached) {
-    if (rc != nullptr && rc->cache_only_linking) {
-      // Brownout cache-only tier: the frozen cache is the only evidence
-      // source — a miss is the same unlinkable state as a no-match cell,
-      // and nothing is written back. The retrieval engine is never touched
-      // at this tier.
-      metrics.cache_only_misses.Add();
-      return links;
-    }
     hits = engine_->TopK(cell.text, config_.max_entities_per_cell, rc);
     // A request that expired *during* TopK got a truncated (empty) result;
     // caching it would poison every later lookup of this cell text.

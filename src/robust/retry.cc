@@ -67,8 +67,9 @@ bool BackoffBlocked(const RequestContext* request, int64_t backoff_us) {
   return request->deadline.RemainingMicros() <= backoff_us;
 }
 
-bool RetryAllowed() {
-  return !RetryBudget::Enabled() || RetryBudget::Global().TryAcquire();
+bool RetryAllowed(const RequestContext* request) {
+  return request == nullptr || request->retry_budget == nullptr ||
+         request->retry_budget->TryAcquire();
 }
 
 }  // namespace internal
@@ -150,8 +151,8 @@ bool TableOpContext::Attempt(FaultSite site) {
       Degrade("retry budget exhausted");
       return false;
     }
-    if (!internal::RetryAllowed()) {
-      // The process-wide budget is spent: degrade this table instead of
+    if (!internal::RetryAllowed(request_)) {
+      // The request's retry budget is spent: degrade this table instead of
       // adding retry traffic to a correlated fault burst.
       Degrade("retry budget exhausted");
       return false;

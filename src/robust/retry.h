@@ -19,10 +19,13 @@
 // interleave. Retries also stop early when the backoff sleep could not
 // finish before the request deadline.
 //
-// Both retry loops additionally sit under the process-wide RetryBudget
-// (robust/retry_budget.h) when it is enabled: each backoff-retry takes one
-// token first, and an empty bucket degrades/fails the operation instead of
-// retrying — a correlated fault burst cannot amplify into a retry storm.
+// Both retry loops additionally sit under the RetryBudget
+// (robust/retry_budget.h) that the request's RequestContext borrows, if
+// any: each backoff-retry takes one token first, and an empty bucket
+// degrades/fails the operation instead of retrying — a correlated fault
+// burst cannot amplify into a retry storm. Calls without a request or
+// without a budget are bounded by their RetryPolicy (and TableBudget)
+// alone.
 //
 // WithRetry: wraps a real fallible call (Status / StatusOr returning) in
 // the same injection + retry loop, for I/O paths; deadline-aware when a
@@ -137,9 +140,10 @@ void SleepBackoff(const RetryPolicy& policy, int attempt, int64_t backoff_us);
 // True when a `backoff_us` sleep could not complete before the request
 // deadline (or the request is already expired/cancelled).
 bool BackoffBlocked(const RequestContext* request, int64_t backoff_us);
-// Consults the process-wide RetryBudget: true when the retry may proceed
-// (budget disabled, or a token was taken). False means degrade/fail now.
-bool RetryAllowed();
+// Consults the request's borrowed RetryBudget: true when the retry may
+// proceed (no request, no budget, or a token was taken). False means
+// degrade/fail now.
+bool RetryAllowed(const RequestContext* request);
 }  // namespace internal
 
 // Runs `fn` (returning Status or StatusOr<T>) under fault injection at
@@ -168,9 +172,9 @@ auto WithRetry(FaultSite site, const RetryPolicy& policy, Fn&& fn,
       return Result(Status::IoError(std::string("injected fault at ") +
                                     FaultSiteName(site)));
     }
-    if (!internal::RetryAllowed()) {
-      // Process-wide retry budget spent: fail now rather than amplify a
-      // correlated fault burst with more retry traffic.
+    if (!internal::RetryAllowed(request)) {
+      // The request's retry budget is spent: fail now rather than amplify
+      // a correlated fault burst with more retry traffic.
       return Result(Status::Unavailable(
           std::string("retry budget exhausted at ") + FaultSiteName(site)));
     }

@@ -1,6 +1,7 @@
 #include "robust/retry_budget.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -21,35 +22,23 @@ struct BudgetMetrics {
   }
 };
 
+RetryBudgetOptions Sanitized(RetryBudgetOptions options) {
+  options.tokens_per_second = std::max(0.0, options.tokens_per_second);
+  options.burst = std::max(0.0, options.burst);
+  return options;
+}
+
 }  // namespace
 
-std::atomic<bool> RetryBudget::enabled_{false};
-
-RetryBudget& RetryBudget::Global() {
-  static RetryBudget* budget = new RetryBudget();
-  return *budget;
-}
+RetryBudget::RetryBudget(const RetryBudgetOptions& options,
+                         obs::ClockMicrosFn clock)
+    : options_(Sanitized(options)),
+      clock_(std::move(clock)),
+      tokens_(options_.burst),
+      last_refill_us_(Now()) {}
 
 int64_t RetryBudget::Now() const {
   return clock_ ? clock_() : obs::SteadyNowMicros();
-}
-
-void RetryBudget::Enable(const RetryBudgetOptions& options,
-                         obs::ClockMicrosFn clock) {
-  std::lock_guard<std::mutex> lock(mu_);
-  options_ = options;
-  if (options_.tokens_per_second < 0.0) options_.tokens_per_second = 0.0;
-  if (options_.burst < 0.0) options_.burst = 0.0;
-  clock_ = std::move(clock);
-  tokens_ = options_.burst;
-  last_refill_us_ = Now();
-  granted_ = 0;
-  denied_ = 0;
-  enabled_.store(true, std::memory_order_relaxed);
-}
-
-void RetryBudget::Disable() {
-  enabled_.store(false, std::memory_order_relaxed);
 }
 
 void RetryBudget::RefillLocked(int64_t now_us) {
@@ -92,13 +81,7 @@ int64_t RetryBudget::denied() const {
   return denied_;
 }
 
-RetryBudgetOptions RetryBudget::options() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return options_;
-}
-
 std::string RetryBudget::SnapshotJson() const {
-  if (!Enabled()) return "{\"enabled\": false}";
   std::lock_guard<std::mutex> lock(mu_);
   const_cast<RetryBudget*>(this)->RefillLocked(Now());
   std::string out = "{\"enabled\": true";

@@ -7,7 +7,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "robust/retry_budget.h"
 #include "search/cell_link_cache.h"
 
 namespace kglink::serve {
@@ -93,25 +92,6 @@ ServiceOptions ValidatedServiceOptions(ServiceOptions options) {
     options.retry_budget_per_second = 0.0;
     clamp_warn("retry_budget_per_second");
   }
-  if (options.retry_budget_burst < 0.0) {
-    options.retry_budget_burst = 0.0;
-    clamp_warn("retry_budget_burst");
-  }
-  if (options.brownout.dwell_us < 0) {
-    options.brownout.dwell_us = 0;
-    clamp_warn("brownout.dwell_us");
-  }
-  if (options.brownout.step_up_burn <= 0.0) {
-    options.brownout.step_up_burn = defaults.brownout.step_up_burn;
-    clamp_warn("brownout.step_up_burn");
-  }
-  if (options.brownout.step_down_burn < 0.0 ||
-      options.brownout.step_down_burn >= options.brownout.step_up_burn) {
-    // The hysteresis band must be a band: step-down strictly below step-up
-    // or the ladder would flap on a single threshold.
-    options.brownout.step_down_burn = options.brownout.step_up_burn / 2.0;
-    clamp_warn("brownout.step_down_burn");
-  }
   return options;
 }
 
@@ -120,31 +100,20 @@ AnnotationService::AnnotationService(core::KgLinkAnnotator* annotator,
     : annotator_(annotator),
       options_(ValidatedServiceOptions(std::move(options))) {
   KGLINK_CHECK(annotator_ != nullptr);
-  obs::RollingWindowOptions window_options;
-  window_options.window_us = options_.stats_window_us;
-  window_options.num_slots = options_.stats_window_slots;
-  latency_window_ =
-      std::make_unique<obs::RollingWindow>(window_options, options_.clock);
+  latency_window_ = std::make_unique<obs::RollingWindow>(
+      obs::RollingWindowOptions{}, options_.clock);
   obs::SloOptions slo_options;
   slo_options.target_latency_us = options_.slo_target_us;
-  slo_options.objective = options_.slo_objective;
-  slo_options.short_window_us = options_.slo_short_window_us;
-  slo_options.long_window_us = options_.slo_long_window_us;
-  slo_options.num_slots = options_.stats_window_slots;
   slo_ = std::make_unique<obs::SloMonitor>(slo_options, options_.clock);
   codel_ = std::make_unique<CodelAdmissionController>(options_.codel,
                                                       options_.clock);
-  brownout_ =
-      std::make_unique<BrownoutController>(options_.brownout, options_.clock);
   for (auto& c : completed_) c.store(0, std::memory_order_relaxed);
-  for (auto& c : tier_completed_) c.store(0, std::memory_order_relaxed);
   if (options_.retry_budget_per_second > 0.0) {
     robust::RetryBudgetOptions budget;
     budget.tokens_per_second = options_.retry_budget_per_second;
-    budget.burst = options_.retry_budget_burst > 0.0
-                       ? options_.retry_budget_burst
-                       : 2.0 * options_.retry_budget_per_second;
-    robust::RetryBudget::Global().Enable(budget, options_.clock);
+    budget.burst = 2.0 * options_.retry_budget_per_second;
+    retry_budget_ =
+        std::make_unique<robust::RetryBudget>(budget, options_.clock);
   }
   accepting_ = true;
   workers_.reserve(static_cast<size_t>(options_.num_threads));
@@ -168,13 +137,13 @@ std::future<AnnotationResult> AnnotationService::Submit(
   req.table = &table;
   req.rc.deadline = deadline;
   req.rc.cancel = std::move(cancel);
+  req.rc.retry_budget = retry_budget_.get();
   std::future<AnnotationResult> future = req.promise.get_future();
 
   bool enqueued = false;
   bool open = false;
   bool paused = false;
   bool shed = false;
-  bool refused_brownout = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // The stream key is assigned to every submission — accepted or not —
@@ -183,12 +152,7 @@ std::future<AnnotationResult> AnnotationService::Submit(
     req.rc.stream_key = next_stream_key_++;
     open = accepting_;
     paused = paused_;
-    if (open && brownout_->tier() == BrownoutTier::kRefuse) {
-      // Top rung of the ladder: even the inline shed path costs a predict
-      // pass per table, which is exactly the capacity the ladder is trying
-      // to claw back. Refuse outright.
-      refused_brownout = true;
-    } else if (open) {
+    if (open) {
       // CoDel sheds on sustained queue sojourn even when the queue has
       // room — a standing queue at any depth means every admitted request
       // pays the backlog. Static mode only sheds on the depth bound.
@@ -218,11 +182,10 @@ std::future<AnnotationResult> AnnotationService::Submit(
     return future;
   }
 
-  // Admission refused. A closed service, a mid-reload pause, a spent
-  // deadline, or the refuse brownout tier means even the cheap path is
-  // pointless: refuse outright. Otherwise shed load by running the
-  // degraded PLM-only path right here in the caller's thread — the queue
-  // and workers never see the request.
+  // Admission refused. A closed service, a mid-reload pause or a spent
+  // deadline means even the cheap path is pointless: refuse outright.
+  // Otherwise shed load by running the degraded PLM-only path right here
+  // in the caller's thread — the queue and workers never see the request.
   AnnotationResult result;
   if (shed) {
     result = RunShedInline(table, req.rc);
@@ -230,12 +193,6 @@ std::future<AnnotationResult> AnnotationService::Submit(
   } else if (!open) {
     result.status = RequestStatus::kOverloaded;
     result.error = Status::Unavailable("annotation service is shut down");
-  } else if (refused_brownout) {
-    result.status = RequestStatus::kOverloaded;
-    result.tier = BrownoutTier::kRefuse;
-    result.error = Status::Unavailable("brownout ladder at refuse tier");
-    tier_completed_[static_cast<size_t>(BrownoutTier::kRefuse)].fetch_add(
-        1, std::memory_order_relaxed);
   } else if (paused) {
     result.status = RequestStatus::kOverloaded;
     result.error =
@@ -313,24 +270,15 @@ void AnnotationService::WorkerLoop() {
       if (sojourns[i] < 0) sojourns[i] = 0;
       codel_->OnDequeue(sojourns[i]);
     }
-    // Work already queued keeps running when the ladder reaches the refuse
-    // tier — refusal applies at admission — but at most at the PLM-only
-    // tier so the backlog drains at the cheap rate.
-    BrownoutTier tier = brownout_->tier();
-    if (tier == BrownoutTier::kRefuse) tier = BrownoutTier::kPlmOnly;
-    if (batch.size() > 1 && tier == BrownoutTier::kFull) {
-      // Fold the drained requests into one padded encoder forward. Below
-      // the full tier the requests run the cheap degraded paths, where
-      // batching buys nothing — fall through to the sequential loop.
+    if (batch.size() > 1) {
+      // Fold the drained requests into one padded encoder forward.
       RunBatch(batch, sojourns);
       continue;
     }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      AnnotationResult result = RunRequest(batch[i], sojourns[i], tier);
-      FinishInflight();
-      CountCompletion(result.status);
-      batch[i].promise.set_value(std::move(result));
-    }
+    AnnotationResult result = RunRequest(batch[0], sojourns[0]);
+    FinishInflight();
+    CountCompletion(result.status);
+    batch[0].promise.set_value(std::move(result));
   }
 }
 
@@ -403,47 +351,28 @@ AnnotationService::serving_snapshot() const {
 }
 
 AnnotationResult AnnotationService::RunRequest(Request& req,
-                                               int64_t sojourn_us,
-                                               BrownoutTier tier) {
+                                               int64_t sojourn_us) {
   AnnotationResult result;
   // The record lives in the result; the context carries a borrowed pointer
   // down the stack for the duration of the annotate call.
   req.rc.telemetry = &result.telemetry;
   result.queue_us = sojourn_us;
-  result.tier = tier;
   result.telemetry.AddStage(obs::Stage::kQueueWait,
                             static_cast<uint64_t>(result.queue_us));
   ServeMetrics::Get().queue_wait_us.Record(
       static_cast<double>(result.queue_us));
 
   Stopwatch work;
-  core::AnnotateOutcome outcome;
-  switch (tier) {
-    case BrownoutTier::kFull:
-      outcome = annotator_->AnnotateTable(*req.table, &req.rc);
-      break;
-    case BrownoutTier::kCacheOnly:
-      // Middle rung: the full pipeline runs, but entity linking may only
-      // consult the frozen cell-link cache — a miss is an unlinkable cell,
-      // the retrieval engine is never touched.
-      req.rc.cache_only_linking = true;
-      outcome = annotator_->AnnotateTable(*req.table, &req.rc);
-      break;
-    default:
-      // kPlmOnly (and refuse-tier leftovers already clamped by the caller):
-      // skip KG evidence entirely, predict from the table alone.
-      outcome = annotator_->AnnotateDegraded(*req.table, "brownout:plm_only");
-      break;
-  }
+  core::AnnotateOutcome outcome =
+      annotator_->AnnotateTable(*req.table, &req.rc);
   const int64_t work_us = ElapsedMicros(work);
-  FinishRun(req, result, std::move(outcome), work_us, tier, work_us);
+  FinishRun(req, result, std::move(outcome), work_us, work_us);
   return result;
 }
 
 void AnnotationService::FinishRun(Request& req, AnnotationResult& result,
                                   core::AnnotateOutcome&& outcome,
-                                  int64_t work_us, BrownoutTier tier,
-                                  int64_t triage_us) {
+                                  int64_t work_us, int64_t triage_us) {
   result.work_us = work_us;
   req.rc.telemetry = nullptr;
   ServeMetrics::Get().latency_us.Record(
@@ -475,14 +404,8 @@ void AnnotationService::FinishRun(Request& req, AnnotationResult& result,
   } else {
     result.status = RequestStatus::kOk;
   }
-  if (tier == BrownoutTier::kCacheOnly && result.status == RequestStatus::kOk &&
-      result.degrade_reason.empty()) {
-    // Tier marker on clean results served below the full tier, so eval
-    // reports can keep accuracy comparisons apples-to-apples per tier.
-    result.degrade_reason = "brownout:cache_only";
-  }
-  if (tier == BrownoutTier::kFull && result.status == RequestStatus::kOk) {
-    // Full-tier clean completions feed the batch triage estimate. Degraded
+  if (result.status == RequestStatus::kOk) {
+    // Clean completions feed the batch triage estimate. Degraded
     // and failed runs do less work — folding them in would bias the EWMA
     // low and over-admit members into batches they cannot afford. The
     // load-modify-store race between workers is benign: the value is a
@@ -491,8 +414,6 @@ void AnnotationService::FinishRun(Request& req, AnnotationResult& result,
     int64_t next = prev == 0 ? triage_us : prev + (triage_us - prev) / 8;
     work_ewma_us_.store(next, std::memory_order_relaxed);
   }
-  tier_completed_[static_cast<size_t>(tier)].fetch_add(
-      1, std::memory_order_relaxed);
   ObserveCompletion(*req.table, req.rc, result);
 }
 
@@ -503,7 +424,6 @@ void AnnotationService::RunBatch(std::vector<Request>& batch,
   for (size_t i = 0; i < n; ++i) {
     batch[i].rc.telemetry = &results[i].telemetry;
     results[i].queue_us = sojourns[i];
-    results[i].tier = BrownoutTier::kFull;
     results[i].telemetry.AddStage(obs::Stage::kQueueWait,
                                   static_cast<uint64_t>(sojourns[i]));
     ServeMetrics::Get().queue_wait_us.Record(
@@ -515,8 +435,7 @@ void AnnotationService::RunBatch(std::vector<Request>& batch,
   // whose remaining budget cannot absorb n times the per-request work
   // estimate would expire inside the shared forward — degrade it to the
   // cheap PLM-only path up front instead. With no estimate yet (cold
-  // start) every member runs; the first full-tier completions seed the
-  // EWMA.
+  // start) every member runs; the first clean completions seed the EWMA.
   const int64_t est = work_ewma_us_.load(std::memory_order_relaxed);
   std::vector<size_t> run;
   std::vector<size_t> degrade;
@@ -538,8 +457,7 @@ void AnnotationService::RunBatch(std::vector<Request>& batch,
     core::AnnotateOutcome outcome =
         annotator_->AnnotateDegraded(*batch[i].table, "batch_deadline");
     const int64_t work_us = ElapsedMicros(work);
-    FinishRun(batch[i], results[i], std::move(outcome), work_us,
-              BrownoutTier::kFull, work_us);
+    FinishRun(batch[i], results[i], std::move(outcome), work_us, work_us);
     FinishInflight();
     CountCompletion(results[i].status);
     batch[i].promise.set_value(std::move(results[i]));
@@ -565,7 +483,7 @@ void AnnotationService::RunBatch(std::vector<Request>& batch,
     for (size_t j = 0; j < run.size(); ++j) {
       const size_t i = run[j];
       FinishRun(batch[i], results[i], std::move(outcomes[j]), wall_us,
-                BrownoutTier::kFull, share_us);
+                share_us);
       FinishInflight();
       CountCompletion(results[i].status);
       batch[i].promise.set_value(std::move(results[i]));
@@ -579,9 +497,6 @@ void AnnotationService::ObserveCompletion(const table::Table& table,
   int64_t total_us = result.total_us();
   latency_window_->Record(static_cast<double>(total_us));
   slo_->Record(total_us);
-  // Every completion re-evaluates the ladder off the burn-rate snapshot —
-  // the controller's own dwell gate bounds the transition rate.
-  brownout_->Update(slo_->Snap());
 
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   if (!recorder.enabled()) return;
@@ -621,18 +536,10 @@ void AnnotationService::Shutdown() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  if (options_.retry_budget_per_second > 0.0) {
-    robust::RetryBudget::Global().Disable();
-  }
 }
 
 int64_t AnnotationService::completed(RequestStatus status) const {
   return completed_[static_cast<size_t>(status)].load(
-      std::memory_order_relaxed);
-}
-
-int64_t AnnotationService::tier_completed(BrownoutTier tier) const {
-  return tier_completed_[static_cast<size_t>(tier)].load(
       std::memory_order_relaxed);
 }
 
@@ -697,19 +604,9 @@ std::string AnnotationService::HealthJson() const {
   out += std::string(", \"admission\": {\"mode\": \"") +
          AdmissionModeName(options_.admission) + "\", " +
          codel_->SnapshotJsonFields() + "}";
-  out += std::string(", \"brownout\": {\"enabled\": ") +
-         (options_.brownout.enabled ? "true" : "false");
-  out += std::string(", \"tier\": \"") +
-         BrownoutTierName(brownout_->tier()) + "\"";
-  out += ", \"transitions\": " + std::to_string(brownout_->transitions());
-  out += ", \"completed\": {";
-  for (int i = 0; i < kNumBrownoutTiers; ++i) {
-    if (i > 0) out += ", ";
-    out += std::string("\"") + BrownoutTierName(static_cast<BrownoutTier>(i)) +
-           "\": " + std::to_string(tier_completed(static_cast<BrownoutTier>(i)));
-  }
-  out += "}}";
-  out += ", \"retry_budget\": " + robust::RetryBudget::Global().SnapshotJson();
+  out += ", \"retry_budget\": " + (retry_budget_ != nullptr
+                                       ? retry_budget_->SnapshotJson()
+                                       : std::string("{\"enabled\": false}"));
   if (attached) {
     // Load/failure/quarantine totals come from the store's process-wide
     // counters; generation/sequence/source describe the generation this

@@ -22,11 +22,9 @@
 //   CoDel controller additionally sheds on *sustained queue sojourn time*
 //   (serve/overload.h) — arrivals are shed before the hard bound is hit
 //   whenever dequeues keep observing a standing queue above target.
-// - The brownout ladder (full → cache-only linking → PLM-only → refuse)
-//   steps on the SLO monitor's burn signal with hysteresis; every result
-//   carries the tier it ran at, and non-full tiers mark degrade_reason
-//   ("brownout:cache_only" / "brownout:plm_only") so eval reports stay
-//   apples-to-apples per tier.
+// - With a retry rate configured, the service owns a retry budget
+//   (robust/retry_budget.h) and lends it to every request it runs, so a
+//   correlated fault burst degrades tables instead of multiplying retries.
 // - Health/readiness: HealthJson() snapshots queue depth, inflight count
 //   and per-status totals; the same numbers are exported through the obs
 //   metrics registry ("serve.*").
@@ -53,6 +51,7 @@
 #include "core/annotator.h"
 #include "obs/request_telemetry.h"
 #include "obs/rolling_window.h"
+#include "robust/retry_budget.h"
 #include "serve/overload.h"
 #include "store/snapshot_store.h"
 #include "table/table.h"
@@ -67,40 +66,30 @@ struct ServiceOptions {
   int max_queue = 64;
   // Max queued requests a worker drains into one padded, attention-masked
   // encoder batch (core::KgLinkAnnotator::AnnotateBatch). 1 (default)
-  // keeps the sequential per-request path. Batching only applies at the
-  // full brownout tier; members whose deadline cannot survive the whole
-  // batch degrade immediately instead of waiting (see RunBatch).
+  // keeps the sequential per-request path. Members whose deadline cannot
+  // survive the whole batch degrade immediately instead of waiting (see
+  // RunBatch).
   int encode_batch = 1;
   // Applied to Submit calls that do not bring their own deadline;
   // 0 = unbounded.
   int64_t default_deadline_us = 0;
 
-  // Latency SLO surfaced by HealthJson(): target end-to-end latency, the
-  // fraction of requests required to meet it, and the two burn-rate
-  // windows (short for paging, long for confirmation).
+  // Latency SLO target surfaced by HealthJson(). The objective (0.99),
+  // the burn-rate windows (10 s short, 60 s long) and the latency-stats
+  // window (10 s in 10 slots) are the obs::SloOptions /
+  // obs::RollingWindowOptions defaults.
   int64_t slo_target_us = 100'000;
-  double slo_objective = 0.99;
-  int64_t slo_short_window_us = 10'000'000;
-  int64_t slo_long_window_us = 60'000'000;
-  // Sliding latency-stats window (p50/p99/p999 in HealthJson) and its
-  // slot granularity.
-  int64_t stats_window_us = 10'000'000;
-  int stats_window_slots = 10;
 
   // ---- Overload control (see serve/overload.h) -----------------------
   // kStatic keeps the hard max_queue bound only; kCodel layers sojourn-
   // based shedding on top of it.
   AdmissionMode admission = AdmissionMode::kStatic;
   CodelOptions codel;
-  // Brownout degradation ladder; inert unless brownout.enabled.
-  BrownoutOptions brownout;
-  // Process-wide retry budget enforced while this service is live;
-  // 0 disables (retries stay bounded per table only). burst 0 defaults to
-  // 2× the per-second rate.
+  // Retry tokens per second of the budget this service lends its requests
+  // (burst 2× the rate); 0 disables (retries stay bounded per table only).
   double retry_budget_per_second = 0.0;
-  double retry_budget_burst = 0.0;
-  // Injectable monotonic-microseconds clock driving admission, brownout,
-  // the retry budget and queue-sojourn measurement. Empty = steady clock;
+  // Injectable monotonic-microseconds clock driving admission, the retry
+  // budget and queue-sojourn measurement. Empty = steady clock;
   // tests inject a virtual clock for deterministic overload behavior.
   obs::ClockMicrosFn clock;
 };
@@ -108,10 +97,9 @@ struct ServiceOptions {
 // Clamps nonsensical overload-control parameters to sane values (warning
 // logged per clamp) instead of letting a misconfigured service run
 // silently: non-positive CoDel target/interval fall back to defaults, the
-// interval is at least the target, negative retry-budget values become 0,
-// and an inverted brownout hysteresis band (step_down >= step_up) is
-// pulled back under step_up. Applied by the constructor; exposed so CLI
-// flag validation can reject the same inputs loudly.
+// interval is at least the target, and a negative retry rate becomes 0.
+// Applied by the constructor; exposed so CLI flag validation can reject
+// the same inputs loudly.
 ServiceOptions ValidatedServiceOptions(ServiceOptions options);
 
 // Terminal state of one request. Ordered roughly by "how much work ran".
@@ -136,13 +124,8 @@ struct AnnotationResult {
   RequestStatus status = RequestStatus::kOk;
   // Per original column; empty only for kOverloaded / kFailed.
   std::vector<int> predictions;
-  // Set for kDegraded / kShed / kCancelled, and as a tier marker
-  // ("brownout:cache_only") on kOk results served below the full tier.
-  std::string degrade_reason;
+  std::string degrade_reason;  // set for kDegraded / kShed / kCancelled
   Status error;                // set for kOverloaded / kFailed
-  // The ladder rung this request was served at (kRefuse for brownout
-  // refusals; kFull for every non-brownout admission outcome).
-  BrownoutTier tier = BrownoutTier::kFull;
   int64_t queue_us = 0;        // time spent waiting for a worker
   // Time spent annotating; for a batched request, the whole batch's wall
   // time, since the caller waits for the shared forward to finish.
@@ -213,7 +196,6 @@ class AnnotationService {
   //  "slo":{target_us,objective,burning,short:{…},long:{…}},
   //  "admission":{mode,target_us,interval_us,sojourn_ewma_us,overloaded,
   //               sheds},
-  //  "brownout":{enabled,tier,transitions,completed:{tier:count,…}},
   //  "retry_budget":{enabled[,tokens_per_second,burst,fill,granted,
   //                  denied]},
   //  "snapshot":{attached,generation,sequence,source,reloading,
@@ -222,8 +204,8 @@ class AnnotationService {
   //  "cell_cache":{capacity,size,hits,misses,evictions},
   //  "profile":{running,hz,ticks,samples,…,heap:{…},
   //             process:{rss_bytes,peak_rss_bytes,arena_bytes}}}
-  // "window"/"slo" cover the sliding windows configured in ServiceOptions
-  // (not cumulative-since-start). snapshot appears only after
+  // "window"/"slo" cover sliding windows (not cumulative-since-start);
+  // "retry_budget" is this service's own budget. snapshot appears only after
   // AttachSnapshotStore (mapped/resident bytes once a generation is
   // adopted — a mincore scan refreshed per render, -1 where unsupported);
   // cell_cache only when the annotator's cell-link cache is enabled.
@@ -232,13 +214,6 @@ class AnnotationService {
   // Total requests that finished with `status` (includes shed/overloaded
   // resolutions performed in Submit).
   int64_t completed(RequestStatus status) const;
-
-  // Requests resolved at each brownout ladder rung: worker-run completions
-  // count at the tier they executed (queued work runs at most kPlmOnly),
-  // admission refusals at the refuse tier count under kRefuse. Shed and
-  // non-brownout refusals are not tiered — their status counts cover them.
-  int64_t tier_completed(BrownoutTier tier) const;
-  BrownoutTier brownout_tier() const { return brownout_->tier(); }
 
   int queue_depth() const;
   const ServiceOptions& options() const { return options_; }
@@ -255,22 +230,21 @@ class AnnotationService {
 
   int64_t NowMicros() const;
   void WorkerLoop();
-  AnnotationResult RunRequest(Request& req, int64_t sojourn_us,
-                              BrownoutTier tier);
-  // Runs a drained batch at the full tier: deadline triage (members that
+  AnnotationResult RunRequest(Request& req, int64_t sojourn_us);
+  // Runs a drained batch: deadline triage (members that
   // cannot afford the whole batch degrade to the cheap PLM-only path and
   // resolve first), then one AnnotateBatch over the survivors. Resolves
   // every request's promise and inflight/completion accounting.
   void RunBatch(std::vector<Request>& batch,
                 const std::vector<int64_t>& sojourns);
   // Shared completion tail for worker-run requests: work accounting,
-  // post-process stage remainder, outcome -> status mapping, tier counter
-  // and ObserveCompletion. `result` must already carry queue_us/tier and
-  // the attached telemetry. `triage_us` is the work sample fed to the batch
+  // post-process stage remainder, outcome -> status mapping and
+  // ObserveCompletion. `result` must already carry queue_us and the
+  // attached telemetry. `triage_us` is the work sample fed to the batch
   // triage estimate: work_us, or a batched member's share of the batch.
   void FinishRun(Request& req, AnnotationResult& result,
                  core::AnnotateOutcome&& outcome, int64_t work_us,
-                 BrownoutTier tier, int64_t triage_us);
+                 int64_t triage_us);
   // The shed path: degraded PLM-only annotation in the calling thread.
   AnnotationResult RunShedInline(const table::Table& table,
                                  const RequestContext& rc);
@@ -293,11 +267,12 @@ class AnnotationService {
   // Sliding-window latency stats and SLO burn tracking (HealthJson).
   std::unique_ptr<obs::RollingWindow> latency_window_;
   std::unique_ptr<obs::SloMonitor> slo_;
-  // Overload control: sojourn-based admission (fed on every dequeue, so
-  // HealthJson shows the sojourn estimate in static mode too) and the
-  // brownout ladder (inert unless options_.brownout.enabled).
+  // Sojourn-based admission control (fed on every dequeue, so HealthJson
+  // shows the sojourn estimate in static mode too).
   std::unique_ptr<CodelAdmissionController> codel_;
-  std::unique_ptr<BrownoutController> brownout_;
+  // Lent to every request through RequestContext::retry_budget; null when
+  // options_.retry_budget_per_second is 0.
+  std::unique_ptr<robust::RetryBudget> retry_budget_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -325,8 +300,7 @@ class AnnotationService {
 
   std::vector<std::thread> workers_;
   std::array<std::atomic<int64_t>, kNumRequestStatuses> completed_{};
-  std::array<std::atomic<int64_t>, kNumBrownoutTiers> tier_completed_{};
-  // EWMA of full-tier per-request work time, feeding RunBatch's deadline
+  // EWMA of clean per-request work time, feeding RunBatch's deadline
   // triage (degraded runs are excluded — they are an order of magnitude
   // cheaper and would bias the estimate toward over-admission).
   std::atomic<int64_t> work_ewma_us_{0};

@@ -26,7 +26,6 @@ bool GoodputStatus(RequestStatus s) {
 
 void FoldResult(const AnnotationResult& result, LoadReport& report) {
   report.by_status[static_cast<size_t>(result.status)]++;
-  report.by_tier[static_cast<size_t>(result.tier)]++;
   if (AcceptedStatus(result.status)) {
     report.accepted_latency_us.push_back(result.total_us());
   }
@@ -87,12 +86,6 @@ std::string LoadReport::Json() const {
            RequestStatusName(static_cast<RequestStatus>(i)) +
            "\": " + std::to_string(by_status[static_cast<size_t>(i)]);
   }
-  out += "}, \"by_tier\": {";
-  for (int i = 0; i < kNumBrownoutTiers; ++i) {
-    if (i > 0) out += ", ";
-    out += std::string("\"") + BrownoutTierName(static_cast<BrownoutTier>(i)) +
-           "\": " + std::to_string(by_tier[static_cast<size_t>(i)]);
-  }
   out += "}, \"latency\": {\"accepted\": " +
          std::to_string(accepted_latency_us.size());
   out += ", \"p50_us\": " + std::to_string(LatencyPercentileUs(50));
@@ -148,10 +141,6 @@ LoadReport RunClosedLoop(AnnotationService& service,
       for (int i = 0; i < kNumRequestStatuses; ++i) {
         report.by_status[static_cast<size_t>(i)] +=
             local.by_status[static_cast<size_t>(i)];
-      }
-      for (int i = 0; i < kNumBrownoutTiers; ++i) {
-        report.by_tier[static_cast<size_t>(i)] +=
-            local.by_tier[static_cast<size_t>(i)];
       }
       report.accepted_latency_us.insert(report.accepted_latency_us.end(),
                                         local.accepted_latency_us.begin(),
@@ -242,7 +231,6 @@ BatchResult RunBatch(AnnotationService& service,
     AnnotationResult result = f.get();
     out.by_status[static_cast<size_t>(result.status)]++;
     fold(static_cast<uint64_t>(result.status));
-    fold(static_cast<uint64_t>(result.tier));
     fold(result.predictions.size());
     for (int p : result.predictions) fold(static_cast<uint64_t>(p));
     fold(result.degrade_reason.size());

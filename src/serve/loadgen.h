@@ -12,16 +12,15 @@
 //   system (closed loops self-throttle; coordinated omission hides the
 //   pain). Optional on/off burst gating batches arrivals into on-windows.
 //   Reports goodput, accepted-request latency percentiles, shed/refusal
-//   counts, per-tier mix, and the maximum queue depth observed.
+//   counts, and the maximum queue depth observed.
 // - RunBatch: single-threaded submission of a fixed request sequence with
 //   a FNV-1a checksum over every result in submission order. Paired with
 //   per-request fault streams this is byte-identical per seed regardless
 //   of worker-pool interleaving — the chaos determinism gate.
 //
 // Goodput counts completions that delivered full-width predictions from a
-// worker run (kOk + kDegraded, including brownout tiers). Shed inline runs
-// and refusals are excluded: they are the overload *response*, not served
-// load.
+// worker run (kOk + kDegraded). Shed inline runs and refusals are
+// excluded: they are the overload *response*, not served load.
 #ifndef KGLINK_SERVE_LOADGEN_H_
 #define KGLINK_SERVE_LOADGEN_H_
 
@@ -58,7 +57,6 @@ struct LoadReport {
   double offered_per_second = 0;    // submitted / offered window
   double goodput_per_second = 0;    // kOk + kDegraded completions / duration
   std::array<int64_t, kNumRequestStatuses> by_status{};
-  std::array<int64_t, kNumBrownoutTiers> by_tier{};
   int max_queue_depth = 0;  // sampled at every arrival
   // End-to-end latencies (queue + work) of accepted worker-run completions
   // (kOk/kDegraded/kCancelled/kFailed — everything that held a queue slot),
@@ -81,8 +79,8 @@ class ZipfPicker {
 };
 
 // Sustainable-capacity probe: `closed_loop_workers` threads submit-and-wait
-// for `duration_us`. Faults/brownout config are whatever the service was
-// built with.
+// for `duration_us`. Faults and overload config are whatever the service
+// was built with.
 LoadReport RunClosedLoop(AnnotationService& service,
                          const std::vector<const table::Table*>& tables,
                          const LoadgenOptions& options);
@@ -102,7 +100,7 @@ struct BatchResult {
 // Submits `count` zipf-picked requests from a single thread (stream keys —
 // and with them the per-request fault streams — follow submission order),
 // then folds every result into a checksum. Byte-identical per seed when
-// the service runs with static admission and brownout off.
+// the service runs with static admission.
 BatchResult RunBatch(AnnotationService& service,
                      const std::vector<const table::Table*>& tables,
                      int count, const LoadgenOptions& options);

@@ -2,26 +2,15 @@
 
 #include <cmath>
 
-#include "obs/log.h"
 #include "obs/metrics.h"
 
 namespace kglink::serve {
 
 namespace {
 
-constexpr const char* kTierNames[kNumBrownoutTiers] = {
-    "full", "cache_only", "plm_only", "refuse",
-};
-
 obs::Counter& CodelShedCounter() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter("serve.admission.codel_sheds");
-  return c;
-}
-
-obs::Counter& BrownoutTransitionCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("serve.brownout.transitions");
   return c;
 }
 
@@ -35,10 +24,6 @@ std::optional<AdmissionMode> AdmissionModeFromName(std::string_view name) {
   if (name == "static") return AdmissionMode::kStatic;
   if (name == "codel") return AdmissionMode::kCodel;
   return std::nullopt;
-}
-
-const char* BrownoutTierName(BrownoutTier tier) {
-  return kTierNames[static_cast<size_t>(tier)];
 }
 
 // ---- CodelAdmissionController ---------------------------------------------
@@ -124,61 +109,6 @@ std::string CodelAdmissionController::SnapshotJsonFields() const {
   out += std::string(", \"overloaded\": ") + (overloaded_ ? "true" : "false");
   out += ", \"sheds\": " + std::to_string(sheds_);
   return out;
-}
-
-// ---- BrownoutController ---------------------------------------------------
-
-BrownoutController::BrownoutController(BrownoutOptions options,
-                                       obs::ClockMicrosFn clock)
-    : options_(options), clock_(std::move(clock)) {}
-
-int64_t BrownoutController::Now() const {
-  return clock_ ? clock_() : obs::SteadyNowMicros();
-}
-
-BrownoutTier BrownoutController::Update(
-    const obs::SloMonitor::Snapshot& slo) {
-  BrownoutTier cur = tier_.load(std::memory_order_relaxed);
-  if (!options_.enabled) return cur;
-  std::lock_guard<std::mutex> lock(mu_);
-  cur = tier_.load(std::memory_order_relaxed);
-  int64_t now = Now();
-  if (!have_origin_) {
-    // The dwell clock starts at the first observation, so a burst right at
-    // startup cannot step the ladder before one full dwell of evidence.
-    last_transition_us_ = now;
-    have_origin_ = true;
-    return cur;
-  }
-  if (now - last_transition_us_ < options_.dwell_us) return cur;
-
-  BrownoutTier next = cur;
-  if (slo.burning && slo.short_burn_rate > options_.step_up_burn &&
-      cur != BrownoutTier::kRefuse) {
-    next = static_cast<BrownoutTier>(static_cast<int>(cur) + 1);
-  } else if (!slo.burning && slo.short_burn_rate < options_.step_down_burn &&
-             cur != BrownoutTier::kFull) {
-    // Step-down watches the short window only: the long window can stay
-    // burnt for minutes after recovery, and holding a brownout that long
-    // would itself be an outage.
-    next = static_cast<BrownoutTier>(static_cast<int>(cur) - 1);
-  }
-  if (next == cur) return cur;
-  tier_.store(next, std::memory_order_relaxed);
-  last_transition_us_ = now;
-  ++transitions_;
-  BrownoutTransitionCounter().Add();
-  KGLINK_LOG(kWarn, "serve.brownout.transition")
-      .With("from", BrownoutTierName(cur))
-      .With("to", BrownoutTierName(next))
-      .With("short_burn", slo.short_burn_rate)
-      .With("long_burn", slo.long_burn_rate);
-  return next;
-}
-
-int64_t BrownoutController::transitions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return transitions_;
 }
 
 }  // namespace kglink::serve

@@ -11,26 +11,9 @@
 // falls back under target. A single sub-target sojourn resets the state
 // (standing queues persist; bursts drain). Deterministic under an
 // injectable clock.
-//
-// BrownoutController — the degradation ladder
-//
-//     kFull ──► kCacheOnly ──► kPlmOnly ──► kRefuse
-//       ◄─────────  (one step per dwell period)  ◄──
-//
-// stepped by the SloMonitor multi-window burn signal: step *up* (toward
-// refuse) when both burn windows are burning (snapshot.burning), step
-// *down* when the short-window burn rate has recovered below
-// `step_down_burn`. Hysteresis comes from (a) the gap between the up and
-// down thresholds and (b) a minimum dwell time between any two
-// transitions, so the ladder moves monotonically one rung at a time and
-// cannot flap within a dwell period. Tier semantics are applied by
-// AnnotationService: kCacheOnly restricts entity linking to cell-cache
-// hits (no fresh retrievals), kPlmOnly skips the KG pipeline entirely,
-// kRefuse rejects new work at admission.
 #ifndef KGLINK_SERVE_OVERLOAD_H_
 #define KGLINK_SERVE_OVERLOAD_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -93,65 +76,6 @@ class CodelAdmissionController {
   double sojourn_ewma_us_ = 0.0;
   bool have_sample_ = false;
   int64_t sheds_ = 0;
-};
-
-// The ladder rungs, cheapest-quality-loss first. Kept in degradation order
-// so "one step" is ±1 on the underlying int.
-enum class BrownoutTier : int {
-  kFull = 0,    // KG linking + PLM encoding (the paper pipeline)
-  kCacheOnly,   // linking from cell-cache hits only; misses unlinkable
-  kPlmOnly,     // skip the KG pipeline: PLM-only degraded predictions
-  kRefuse,      // reject new work at admission
-  kNumTiers,
-};
-
-inline constexpr int kNumBrownoutTiers =
-    static_cast<int>(BrownoutTier::kNumTiers);
-
-// Lowercase name, e.g. "full", "cache_only", "plm_only", "refuse".
-const char* BrownoutTierName(BrownoutTier tier);
-
-struct BrownoutOptions {
-  bool enabled = false;
-  // Step toward kRefuse when the SLO snapshot is burning (both windows
-  // over budget) and the short burn rate exceeds this.
-  double step_up_burn = 1.0;
-  // Step toward kFull when not burning and the short burn rate is below
-  // this. Must be < step_up_burn (hysteresis band).
-  double step_down_burn = 0.5;
-  // Minimum time between transitions: the ladder moves at most one rung
-  // per dwell period in either direction.
-  int64_t dwell_us = 2'000'000;
-};
-
-class BrownoutController {
- public:
-  explicit BrownoutController(BrownoutOptions options,
-                              obs::ClockMicrosFn clock = {});
-  BrownoutController(const BrownoutController&) = delete;
-  BrownoutController& operator=(const BrownoutController&) = delete;
-
-  // Feed one SLO burn snapshot (typically after each request completion).
-  // Returns the tier active after evaluating the transition rules.
-  BrownoutTier Update(const obs::SloMonitor::Snapshot& slo);
-
-  BrownoutTier tier() const {
-    return tier_.load(std::memory_order_relaxed);
-  }
-  int64_t transitions() const;
-  const BrownoutOptions& options() const { return options_; }
-
- private:
-  int64_t Now() const;
-
-  BrownoutOptions options_;
-  obs::ClockMicrosFn clock_;
-  std::atomic<BrownoutTier> tier_{BrownoutTier::kFull};
-
-  mutable std::mutex mu_;
-  int64_t last_transition_us_ = 0;
-  bool have_origin_ = false;  // last_transition_us_ starts at first Update
-  int64_t transitions_ = 0;
 };
 
 }  // namespace kglink::serve

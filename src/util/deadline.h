@@ -25,6 +25,12 @@ namespace kglink::obs {
 struct RequestTelemetry;
 }  // namespace kglink::obs
 
+namespace kglink::robust {
+// Retry token bucket (robust/retry_budget.h), forward declared for the
+// same reason.
+class RetryBudget;
+}  // namespace kglink::robust
+
 namespace kglink {
 
 class Deadline {
@@ -111,11 +117,9 @@ struct RequestContext {
   // handled by one thread at a time, so writes need no synchronization.
   obs::RequestTelemetry* telemetry = nullptr;
 
-  // Brownout tier marker (set by the serving layer before dispatch): entity
-  // linking may use only the cell-link cache — a cache miss becomes an
-  // unlinkable cell instead of a fresh retrieval. The middle rung between
-  // the full pipeline and the PLM-only degraded path.
-  bool cache_only_linking = false;
+  // Borrowed retry budget shared by every request of the service that owns
+  // it. Null when retries are bounded per table only.
+  robust::RetryBudget* retry_budget = nullptr;
 
   bool Expired() const { return cancel.Cancelled() || deadline.IsExpired(); }
 

@@ -204,10 +204,10 @@ TEST_F(ConcurrentChaosTest, LoadgenBatchChecksumIsByteIdenticalPerSeed) {
   // The loadgen determinism contract bench_load's --check-determinism gate
   // relies on: two identically seeded RunBatch rounds over a 4-thread
   // service with 10% search faults + 1% predict faults fold every result
-  // (status, tier, predictions, degrade_reason, in submission order) to
-  // the same FNV-1a checksum, while a different seed diverges. Same
-  // conditions as the gate: static admission, brownout off, no deadlines
-  // — wall-clock expiry is the one schedule-dependent piece.
+  // (status, predictions, degrade_reason, in submission order) to the
+  // same FNV-1a checksum, while a different seed diverges. Same conditions
+  // as the gate: static admission, no deadlines — wall-clock expiry is the
+  // one schedule-dependent piece.
   const char* kFaults = "search.topk:0.1,predict:0.01";
   LoadgenOptions lo;
   lo.seed = 42;

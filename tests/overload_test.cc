@@ -1,7 +1,7 @@
 // Overload-control unit tests under a virtual clock: the CoDel admission
-// controller's episode/control-law behavior, the brownout ladder's
-// monotone-with-hysteresis stepping, the process retry budget (token
-// bucket + WithRetry integration), ServiceOptions validation clamps, and
+// controller's episode/control-law behavior, the retry budget (token
+// bucket + WithRetry / TableOpContext integration through a borrowed
+// RequestContext pointer), ServiceOptions validation clamps, and
 // deadline-aware latency-fault truncation.
 #include <gtest/gtest.h>
 
@@ -112,94 +112,6 @@ TEST(CodelAdmissionTest, ModeNamesRoundTrip) {
   EXPECT_FALSE(AdmissionModeFromName("bogus").has_value());
 }
 
-// --- Brownout ladder ----------------------------------------------------
-
-obs::SloMonitor::Snapshot BurnSnapshot(bool burning, double short_burn,
-                                       double long_burn) {
-  obs::SloMonitor::Snapshot s;
-  s.burning = burning;
-  s.short_burn_rate = short_burn;
-  s.long_burn_rate = long_burn;
-  return s;
-}
-
-TEST(BrownoutTest, DisabledControllerNeverMoves) {
-  VClock clock;
-  BrownoutOptions o;  // enabled = false
-  BrownoutController ladder(o, clock.fn());
-  for (int i = 0; i < 10; ++i) {
-    clock.now_us += 10'000'000;
-    EXPECT_EQ(ladder.Update(BurnSnapshot(true, 100.0, 100.0)),
-              BrownoutTier::kFull);
-  }
-  EXPECT_EQ(ladder.transitions(), 0);
-}
-
-TEST(BrownoutTest, StepsUpMonotonicallyOneRungPerDwell) {
-  VClock clock;
-  BrownoutOptions o;
-  o.enabled = true;
-  o.dwell_us = 1'000'000;
-  BrownoutController ladder(o, clock.fn());
-  auto burning = BurnSnapshot(true, 10.0, 10.0);
-
-  // First Update sets the dwell origin; no instant transition.
-  EXPECT_EQ(ladder.Update(burning), BrownoutTier::kFull);
-  // Within the dwell: still full, no matter how hard it burns.
-  clock.now_us += o.dwell_us / 2;
-  EXPECT_EQ(ladder.Update(burning), BrownoutTier::kFull);
-  // Each elapsed dwell climbs exactly one rung — never two.
-  clock.now_us += o.dwell_us;
-  EXPECT_EQ(ladder.Update(burning), BrownoutTier::kCacheOnly);
-  clock.now_us += o.dwell_us;
-  EXPECT_EQ(ladder.Update(burning), BrownoutTier::kPlmOnly);
-  clock.now_us += o.dwell_us;
-  EXPECT_EQ(ladder.Update(burning), BrownoutTier::kRefuse);
-  // Top of the ladder: stays there.
-  clock.now_us += o.dwell_us;
-  EXPECT_EQ(ladder.Update(burning), BrownoutTier::kRefuse);
-  EXPECT_EQ(ladder.transitions(), 3);
-}
-
-TEST(BrownoutTest, HysteresisBandHoldsBetweenThresholds) {
-  VClock clock;
-  BrownoutOptions o;
-  o.enabled = true;
-  o.step_up_burn = 2.0;
-  o.step_down_burn = 0.5;
-  o.dwell_us = 1'000'000;
-  BrownoutController ladder(o, clock.fn());
-
-  ladder.Update(BurnSnapshot(true, 10.0, 10.0));
-  clock.now_us += o.dwell_us;
-  ASSERT_EQ(ladder.Update(BurnSnapshot(true, 10.0, 10.0)),
-            BrownoutTier::kCacheOnly);
-
-  // Inside the band (not burning, but short burn above step_down): holds —
-  // neither up nor down — no matter how many dwells pass.
-  for (int i = 0; i < 5; ++i) {
-    clock.now_us += o.dwell_us;
-    EXPECT_EQ(ladder.Update(BurnSnapshot(false, 1.0, 1.0)),
-              BrownoutTier::kCacheOnly);
-  }
-
-  // Recovered below step_down: one rung down per dwell, back to full.
-  clock.now_us += o.dwell_us;
-  EXPECT_EQ(ladder.Update(BurnSnapshot(false, 0.1, 1.0)),
-            BrownoutTier::kFull);
-  clock.now_us += o.dwell_us;
-  EXPECT_EQ(ladder.Update(BurnSnapshot(false, 0.1, 0.1)),
-            BrownoutTier::kFull);
-  EXPECT_EQ(ladder.transitions(), 2);
-}
-
-TEST(BrownoutTest, TierNames) {
-  EXPECT_STREQ(BrownoutTierName(BrownoutTier::kFull), "full");
-  EXPECT_STREQ(BrownoutTierName(BrownoutTier::kCacheOnly), "cache_only");
-  EXPECT_STREQ(BrownoutTierName(BrownoutTier::kPlmOnly), "plm_only");
-  EXPECT_STREQ(BrownoutTierName(BrownoutTier::kRefuse), "refuse");
-}
-
 // --- Retry budget -------------------------------------------------------
 
 TEST(RetryBudgetTest, BucketDrainsAndRefillsOnVirtualClock) {
@@ -207,26 +119,24 @@ TEST(RetryBudgetTest, BucketDrainsAndRefillsOnVirtualClock) {
   robust::RetryBudgetOptions o;
   o.tokens_per_second = 10.0;
   o.burst = 3.0;
-  robust::RetryBudget::Global().Enable(o, clock.fn());
+  robust::RetryBudget budget(o, clock.fn());
 
-  EXPECT_TRUE(robust::RetryBudget::Global().TryAcquire());
-  EXPECT_TRUE(robust::RetryBudget::Global().TryAcquire());
-  EXPECT_TRUE(robust::RetryBudget::Global().TryAcquire());
-  EXPECT_FALSE(robust::RetryBudget::Global().TryAcquire());
-  EXPECT_EQ(robust::RetryBudget::Global().granted(), 3);
-  EXPECT_EQ(robust::RetryBudget::Global().denied(), 1);
+  EXPECT_TRUE(budget.TryAcquire());
+  EXPECT_TRUE(budget.TryAcquire());
+  EXPECT_TRUE(budget.TryAcquire());
+  EXPECT_FALSE(budget.TryAcquire());
+  EXPECT_EQ(budget.granted(), 3);
+  EXPECT_EQ(budget.denied(), 1);
 
   // 150ms at 10 tokens/s = 1.5 tokens back: one grant, then denial again.
   // (Not exactly 1.0 worth — the refill product is floating point.)
   clock.now_us += 150'000;
-  EXPECT_TRUE(robust::RetryBudget::Global().TryAcquire());
-  EXPECT_FALSE(robust::RetryBudget::Global().TryAcquire());
+  EXPECT_TRUE(budget.TryAcquire());
+  EXPECT_FALSE(budget.TryAcquire());
 
   // Refill is capped at burst.
   clock.now_us += 10'000'000;
-  EXPECT_DOUBLE_EQ(robust::RetryBudget::Global().fill(), 3.0);
-
-  robust::RetryBudget::Global().Disable();
+  EXPECT_DOUBLE_EQ(budget.fill(), 3.0);
 }
 
 TEST(RetryBudgetTest, ExhaustedBudgetFailsWithRetryInsteadOfRetrying) {
@@ -240,7 +150,9 @@ TEST(RetryBudgetTest, ExhaustedBudgetFailsWithRetryInsteadOfRetrying) {
   robust::RetryBudgetOptions o;
   o.tokens_per_second = 1.0;
   o.burst = 1.0;
-  robust::RetryBudget::Global().Enable(o, clock.fn());
+  robust::RetryBudget budget(o, clock.fn());
+  RequestContext rc;
+  rc.retry_budget = &budget;
 
   robust::RetryPolicy policy;
   policy.max_attempts = 3;
@@ -253,17 +165,17 @@ TEST(RetryBudgetTest, ExhaustedBudgetFailsWithRetryInsteadOfRetrying) {
   };
   // First run: one retry token available, then the budget denies — the
   // result is the budget's Unavailable, not the injected IoError.
-  Status first = robust::WithRetry(robust::FaultSite::kIoRead, policy, fn);
+  Status first = robust::WithRetry(robust::FaultSite::kIoRead, policy, fn, &rc);
   EXPECT_EQ(first.code(), StatusCode::kUnavailable);
   EXPECT_NE(first.ToString().find("retry budget exhausted"),
             std::string::npos);
   // Second run: no tokens at all — fails before any backoff.
-  Status second = robust::WithRetry(robust::FaultSite::kIoRead, policy, fn);
+  Status second =
+      robust::WithRetry(robust::FaultSite::kIoRead, policy, fn, &rc);
   EXPECT_EQ(second.code(), StatusCode::kUnavailable);
   EXPECT_EQ(calls, 0);  // every attempt was suppressed by the injector
-  EXPECT_GE(robust::RetryBudget::Global().denied(), 2);
+  EXPECT_GE(budget.denied(), 2);
 
-  robust::RetryBudget::Global().Disable();
   robust::FaultInjector::Global().Disable();
 }
 
@@ -275,32 +187,46 @@ TEST(RetryBudgetTest, TableContextDegradesWhenBudgetExhausted) {
   robust::RetryBudgetOptions o;
   o.tokens_per_second = 0.001;  // effectively no refill during the test
   o.burst = 1.0;
-  robust::RetryBudget::Global().Enable(o, clock.fn());
+  robust::RetryBudget budget(o, clock.fn());
+  RequestContext rc;
+  rc.retry_budget = &budget;
 
   robust::RetryPolicy policy;
   policy.max_attempts = 4;
   policy.base_backoff_us = 1;
   policy.max_backoff_us = 1;
-  robust::TableBudget budget;
-  budget.max_failed_ops = 0;
-  budget.max_retries = 64;
-  robust::TableOpContext ctx(policy, budget, 1);
+  robust::TableBudget table_budget;
+  table_budget.max_failed_ops = 0;
+  table_budget.max_retries = 64;
+  robust::TableOpContext ctx(policy, table_budget, 1, &rc);
   // The always-tripping site forces a retry; the budget (1 token) grants
   // one, then denies — the context degrades instead of spinning through
   // max_attempts.
   EXPECT_FALSE(ctx.Attempt(robust::FaultSite::kSearchTopK));
   EXPECT_TRUE(ctx.degraded());
   EXPECT_STREQ(ctx.degrade_reason(), "retry budget exhausted");
+  EXPECT_EQ(budget.granted(), 1);
+  EXPECT_EQ(budget.denied(), 1);
 
-  robust::RetryBudget::Global().Disable();
   robust::FaultInjector::Global().Disable();
 }
 
 TEST(RetryBudgetTest, DisabledBudgetNeverGates) {
-  robust::RetryBudget::Global().Disable();
-  EXPECT_FALSE(robust::RetryBudget::Enabled());
-  std::string json = robust::RetryBudget::Global().SnapshotJson();
-  EXPECT_NE(json.find("\"enabled\": false"), std::string::npos);
+  // A request that borrows no budget retries to max_attempts: the only
+  // bound is the RetryPolicy.
+  ASSERT_TRUE(robust::FaultInjector::Global()
+                  .ConfigureFromSpec("io.read:1.0", 7)
+                  .ok());
+  robust::RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.base_backoff_us = 1;
+  policy.max_backoff_us = 1;
+  RequestContext rc;
+  Status s = robust::WithRetry(robust::FaultSite::kIoRead, policy,
+                               [] { return Status::Ok(); }, &rc);
+  // Every attempt ran into the injected fault; none was cut short.
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  robust::FaultInjector::Global().Disable();
 }
 
 // --- ServiceOptions validation ------------------------------------------
@@ -313,9 +239,6 @@ TEST(ValidatedServiceOptionsTest, ClampsNonsenseToSaneValues) {
   o.codel.target_us = 0;
   o.codel.interval_us = -7;
   o.retry_budget_per_second = -3.0;
-  o.retry_budget_burst = -1.0;
-  o.brownout.dwell_us = -1;
-  o.brownout.step_up_burn = 0.0;
   ServiceOptions v = ValidatedServiceOptions(o);
   const ServiceOptions defaults;
   EXPECT_EQ(v.num_threads, 1);
@@ -324,17 +247,6 @@ TEST(ValidatedServiceOptionsTest, ClampsNonsenseToSaneValues) {
   EXPECT_EQ(v.codel.target_us, defaults.codel.target_us);
   EXPECT_GE(v.codel.interval_us, v.codel.target_us);
   EXPECT_EQ(v.retry_budget_per_second, 0.0);
-  EXPECT_EQ(v.retry_budget_burst, 0.0);
-  EXPECT_EQ(v.brownout.dwell_us, 0);
-  EXPECT_EQ(v.brownout.step_up_burn, defaults.brownout.step_up_burn);
-}
-
-TEST(ValidatedServiceOptionsTest, InvertedHysteresisBandIsPulledUnderStepUp) {
-  ServiceOptions o;
-  o.brownout.step_up_burn = 2.0;
-  o.brownout.step_down_burn = 5.0;  // inverted: would flap
-  ServiceOptions v = ValidatedServiceOptions(o);
-  EXPECT_LT(v.brownout.step_down_burn, v.brownout.step_up_burn);
 }
 
 TEST(ValidatedServiceOptionsTest, IntervalShorterThanTargetIsRaised) {

@@ -8,6 +8,7 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/annotator.h"
@@ -306,6 +307,26 @@ TEST_F(ServeTest, HealthJsonReflectsServiceState) {
   EXPECT_NE(health.find("\"threads\": 2"), std::string::npos) << health;
   EXPECT_NE(health.find("\"max_queue\": 8"), std::string::npos) << health;
   EXPECT_NE(health.find("\"ok\": 1"), std::string::npos) << health;
+  EXPECT_NE(health.find("\"retry_budget\": {\"enabled\": false}"),
+            std::string::npos)
+      << health;
+  auto doc = obs::ParseJson(health);
+  ASSERT_TRUE(doc.has_value()) << health;
+  // Exactly these sections, in this order: no removed section lingers.
+  std::vector<std::string> keys;
+  for (const auto& member : doc->object) keys.push_back(member.first);
+  const std::vector<std::string> expected = {
+      "accepting", "threads",      "queue_depth", "max_queue",
+      "inflight",  "completed",    "window",      "slo",
+      "admission", "retry_budget", "cell_cache",  "profile"};
+  EXPECT_EQ(keys, expected) << health;
+  // The SLO burn windows are fixed at 10 s (short) and 60 s (long).
+  const obs::JsonValue* slo = doc->Find("slo");
+  ASSERT_NE(slo, nullptr) << health;
+  ASSERT_NE(slo->Find("short"), nullptr) << health;
+  ASSERT_NE(slo->Find("long"), nullptr) << health;
+  EXPECT_DOUBLE_EQ(slo->Find("short")->NumberOr("window_s", -1.0), 10.0);
+  EXPECT_DOUBLE_EQ(slo->Find("long")->NumberOr("window_s", -1.0), 60.0);
 
   service.Shutdown();
   health = service.HealthJson();
@@ -410,7 +431,7 @@ TEST_F(ServeTest, FlightRecorderCapturesInducedSlowRequest) {
   EXPECT_GE(stages->NumberOr("topk_us", -1.0), 0.0);  // present
 }
 
-// --- Overload control: CoDel admission and the brownout ladder -----------
+// --- Overload control: CoDel admission and the retry budget --------------
 
 TEST_F(ServeTest, QueueDepthStaysBoundedUnderSustainedSubmit) {
   // One worker pinned by 2ms-per-retrieval latency faults while the caller
@@ -455,68 +476,49 @@ TEST_F(ServeTest, QueueDepthStaysBoundedUnderSustainedSubmit) {
   EXPECT_LE(service.queue_depth(), so.max_queue);
 }
 
-TEST_F(ServeTest, BrownoutLadderClimbsMonotonicallyUnderVirtualClock) {
-  // Virtual clock + a 1us SLO target: every completion is a violation, so
-  // the burn signal stays lit and each request (with one dwell period
-  // advanced between them) climbs exactly one rung — full, cache_only,
-  // plm_only — until admission refuses at the top.
-  int64_t now_us = 1'000'000;
+TEST_F(ServeTest, RetryBudgetIsOwnedPerService) {
+  // Two budgeted services live at once: each owns its bucket, so one's
+  // requests never spend the other's tokens, and shutting one down leaves
+  // the other's budget enforcing. A rate of 0.001/s (burst 0.002) never
+  // holds a whole token, so every retry is denied and counted.
+  ASSERT_TRUE(robust::FaultInjector::Global()
+                  .ConfigureFromSpec("search.topk:1.0", 3)
+                  .ok());
   ServiceOptions so;
   so.num_threads = 1;
-  so.slo_target_us = 1;
-  so.slo_short_window_us = 10'000'000;
-  so.slo_long_window_us = 60'000'000;
-  so.brownout.enabled = true;
-  so.brownout.dwell_us = 50'000;
-  so.brownout.step_up_burn = 1.0;
-  so.clock = [&now_us] { return now_us; };
-  AnnotationService service(annotator_, so);
+  so.retry_budget_per_second = 0.001;
+  auto budget_of = [](const AnnotationService& service) {
+    std::string health = service.HealthJson();
+    auto doc = obs::ParseJson(health);
+    EXPECT_TRUE(doc.has_value()) << health;
+    const obs::JsonValue* budget =
+        doc.has_value() ? doc->Find("retry_budget") : nullptr;
+    EXPECT_NE(budget, nullptr) << health;
+    return budget != nullptr
+               ? std::make_pair(budget->BoolOr("enabled", false),
+                                budget->NumberOr("denied", -1.0))
+               : std::make_pair(false, -1.0);
+  };
 
-  std::vector<BrownoutTier> observed;
-  std::vector<AnnotationResult> results;
-  for (int i = 0; i < 4; ++i) {
-    results.push_back(service.Submit(TestTable(static_cast<size_t>(i))).get());
-    observed.push_back(service.brownout_tier());
-    now_us += so.brownout.dwell_us * 2;
+  AnnotationService kept(annotator_, so);
+  {
+    AnnotationService other(annotator_, so);
+    AnnotationResult r = other.Submit(TestTable(0)).get();
+    EXPECT_EQ(r.status, RequestStatus::kDegraded);
+    EXPECT_EQ(r.degrade_reason, "retry budget exhausted");
+    EXPECT_GE(budget_of(other).second, 1.0);
+    EXPECT_EQ(budget_of(kept).second, 0.0);  // not charged for `other`
+    other.Shutdown();
   }
-  // Monotone ascent, at most one rung per completion.
-  for (size_t i = 1; i < observed.size(); ++i) {
-    int prev = static_cast<int>(observed[i - 1]);
-    int cur = static_cast<int>(observed[i]);
-    EXPECT_GE(cur, prev) << "rung " << i;
-    EXPECT_LE(cur - prev, 1) << "rung " << i;
-  }
-  EXPECT_EQ(service.brownout_tier(), BrownoutTier::kRefuse);
 
-  // Each request runs at the tier read at its dequeue, and the ladder
-  // steps at completion — so the served tier trails the observed tier by
-  // one request: full, full, cache_only, plm_only.
-  EXPECT_EQ(results[0].tier, BrownoutTier::kFull);
-  EXPECT_EQ(results[1].tier, BrownoutTier::kFull);
-  EXPECT_EQ(results[2].tier, BrownoutTier::kCacheOnly);
-  // No faults and no deadline: the cache-only run completes ok, and the
-  // tier marker is stamped into its degrade_reason for eval bookkeeping.
-  EXPECT_EQ(results[2].status, RequestStatus::kOk);
-  EXPECT_EQ(results[2].degrade_reason, "brownout:cache_only");
-  EXPECT_EQ(results[3].tier, BrownoutTier::kPlmOnly);
-  EXPECT_EQ(results[3].status, RequestStatus::kDegraded);
-  EXPECT_EQ(results[3].degrade_reason, "brownout:plm_only");
-
-  // At the refuse rung new arrivals are rejected at admission.
-  AnnotationResult refused = service.Submit(TestTable(0)).get();
-  EXPECT_EQ(refused.status, RequestStatus::kOverloaded);
-  EXPECT_EQ(refused.tier, BrownoutTier::kRefuse);
-  EXPECT_TRUE(refused.predictions.empty());
-  EXPECT_NE(refused.error.message().find("brownout"), std::string::npos);
-
-  EXPECT_EQ(service.tier_completed(BrownoutTier::kFull), 2);
-  EXPECT_EQ(service.tier_completed(BrownoutTier::kCacheOnly), 1);
-  EXPECT_EQ(service.tier_completed(BrownoutTier::kPlmOnly), 1);
-  EXPECT_EQ(service.tier_completed(BrownoutTier::kRefuse), 1);
-
-  // The ladder state is an operator-visible health field.
-  std::string health = service.HealthJson();
-  EXPECT_NE(health.find("\"tier\": \"refuse\""), std::string::npos) << health;
+  auto [enabled, denied] = budget_of(kept);
+  EXPECT_TRUE(enabled);
+  EXPECT_EQ(denied, 0.0);
+  AnnotationResult r = kept.Submit(TestTable(1)).get();
+  EXPECT_EQ(r.degrade_reason, "retry budget exhausted");
+  auto [still_enabled, denied_after] = budget_of(kept);
+  EXPECT_TRUE(still_enabled);
+  EXPECT_GT(denied_after, denied);
 }
 
 // --- Batched encode drain ------------------------------------------------
