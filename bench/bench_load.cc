@@ -23,11 +23,13 @@
 // what matters: a refuse storm, retry storm or unbounded queue drags
 // answered throughput below it.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -36,6 +38,7 @@
 #include "robust/fault_injector.h"
 #include "serve/annotation_service.h"
 #include "serve/loadgen.h"
+#include "util/string_util.h"
 
 using namespace kglink;
 
@@ -104,6 +107,37 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
                  static_cast<int>(name.size()), name.data());
     return false;
   };
+  // Numeric values are parsed over the whole field: a trailing suffix, a
+  // sign, an out-of-range or non-finite number is a usage error rather
+  // than a silently truncated value.
+  auto number = [&](int& i, std::string_view arg, std::string_view name,
+                    auto* out) {
+    std::string v;
+    if (!value(i, arg, name, &v)) return false;
+    bool ok;
+    if constexpr (std::is_floating_point_v<
+                      std::remove_pointer_t<decltype(out)>>) {
+      ok = ParseFiniteDouble(v, out);
+    } else {
+      ok = ParseNonNegativeInt(std::string_view(v), out);
+    }
+    if (!ok) {
+      std::fprintf(stderr, "%s: invalid value '%s' for %.*s\n", argv[0],
+                   v.c_str(), static_cast<int>(name.size()), name.data());
+      Usage(argv[0]);
+    }
+    return ok;
+  };
+  // Millisecond flags are scaled to microseconds: keep `* 1000` in range.
+  auto millis = [&](int& i, std::string_view arg, std::string_view name,
+                    int64_t* out) {
+    if (!number(i, arg, name, out)) return false;
+    if (*out <= INT64_MAX / 1000) return true;
+    std::fprintf(stderr, "%s: %.*s out of range\n", argv[0],
+                 static_cast<int>(name.size()), name.data());
+    Usage(argv[0]);
+    return false;
+  };
   auto matches = [](std::string_view arg, std::string_view name) {
     return arg == name ||
            (arg.size() > name.size() && arg.compare(0, name.size(), name) == 0 &&
@@ -113,44 +147,39 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     std::string_view arg = argv[i];
     std::string v;
     if (matches(arg, "--seed")) {
-      if (!value(i, arg, "--seed", &v)) return false;
-      flags->seed = std::strtoull(v.c_str(), nullptr, 10);
+      if (!number(i, arg, "--seed", &flags->seed)) return false;
     } else if (matches(arg, "--capacity-duration-s")) {
-      if (!value(i, arg, "--capacity-duration-s", &v)) return false;
-      flags->capacity_duration_s = std::atof(v.c_str());
+      if (!number(i, arg, "--capacity-duration-s",
+                  &flags->capacity_duration_s)) {
+        return false;
+      }
     } else if (matches(arg, "--duration-s")) {
-      if (!value(i, arg, "--duration-s", &v)) return false;
-      flags->duration_s = std::atof(v.c_str());
+      if (!number(i, arg, "--duration-s", &flags->duration_s)) return false;
     } else if (matches(arg, "--rate-multiplier")) {
-      if (!value(i, arg, "--rate-multiplier", &v)) return false;
-      flags->rate_multiplier = std::atof(v.c_str());
+      if (!number(i, arg, "--rate-multiplier", &flags->rate_multiplier)) {
+        return false;
+      }
     } else if (matches(arg, "--rate")) {
-      if (!value(i, arg, "--rate", &v)) return false;
-      flags->rate = std::atof(v.c_str());
+      if (!number(i, arg, "--rate", &flags->rate)) return false;
     } else if (matches(arg, "--zipf")) {
-      if (!value(i, arg, "--zipf", &v)) return false;
-      flags->zipf_s = std::atof(v.c_str());
+      if (!number(i, arg, "--zipf", &flags->zipf_s)) return false;
     } else if (matches(arg, "--burst-on-ms")) {
-      if (!value(i, arg, "--burst-on-ms", &v)) return false;
-      flags->burst_on_ms = std::atoll(v.c_str());
+      if (!millis(i, arg, "--burst-on-ms", &flags->burst_on_ms)) return false;
     } else if (matches(arg, "--burst-off-ms")) {
-      if (!value(i, arg, "--burst-off-ms", &v)) return false;
-      flags->burst_off_ms = std::atoll(v.c_str());
+      if (!millis(i, arg, "--burst-off-ms", &flags->burst_off_ms)) return false;
     } else if (matches(arg, "--deadline-ms")) {
-      if (!value(i, arg, "--deadline-ms", &v)) return false;
-      flags->deadline_ms = std::atoll(v.c_str());
+      if (!millis(i, arg, "--deadline-ms", &flags->deadline_ms)) return false;
     } else if (matches(arg, "--threads")) {
-      if (!value(i, arg, "--threads", &v)) return false;
-      flags->threads = std::atoi(v.c_str());
+      if (!number(i, arg, "--threads", &flags->threads)) return false;
     } else if (matches(arg, "--max-queue")) {
-      if (!value(i, arg, "--max-queue", &v)) return false;
-      flags->max_queue = std::atoi(v.c_str());
+      if (!number(i, arg, "--max-queue", &flags->max_queue)) return false;
     } else if (matches(arg, "--faults")) {
       if (!value(i, arg, "--faults", &v)) return false;
       flags->faults = v;
     } else if (matches(arg, "--goodput-floor")) {
-      if (!value(i, arg, "--goodput-floor", &v)) return false;
-      flags->goodput_floor = std::atof(v.c_str());
+      if (!number(i, arg, "--goodput-floor", &flags->goodput_floor)) {
+        return false;
+      }
     } else if (arg == "--check-determinism") {
       flags->check_determinism = true;
     } else if (matches(arg, "--statsz-out")) {
@@ -161,6 +190,14 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       Usage(argv[0]);
       return false;
     }
+  }
+  // The service clamps both to at least 1 while the queue-depth gate
+  // compares against the flag, so 0 would fail that gate spuriously.
+  if (flags->threads < 1 || flags->max_queue < 1) {
+    std::fprintf(stderr, "%s: --threads and --max-queue must be >= 1\n",
+                 argv[0]);
+    Usage(argv[0]);
+    return false;
   }
   return true;
 }

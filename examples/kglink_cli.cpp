@@ -21,6 +21,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "core/annotator.h"
 #include "data/corpus_gen.h"
@@ -223,6 +224,18 @@ bool ParseMillis(const char* v, int64_t* out) {
          *out <= INT64_MAX / 1000;
 }
 
+// Parses an integer flag value: the whole field, digits only, in T's range
+// and at least `min`.
+template <typename T>
+bool ParseIntFlag(std::string_view v, T* out, std::type_identity_t<T> min = 0) {
+  return ParseNonNegativeInt(v, out) && *out >= min;
+}
+
+// Parses a float flag value: the whole field, finite and >= 0.
+bool ParseDoubleFlag(std::string_view v, double* out) {
+  return ParseFiniteDouble(v, out) && *out >= 0;
+}
+
 bool ParseArgs(int argc, char** argv, Args* args) {
   if (argc < 3) return false;
   args->command = argv[1];
@@ -239,15 +252,15 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--tables") {
       const char* v = next();
       if (!v) return false;
-      args->tables = std::atoi(v);
+      if (!ParseIntFlag(v, &args->tables)) return false;
     } else if (a == "--epochs") {
       const char* v = next();
       if (!v) return false;
-      args->epochs = std::atoi(v);
+      if (!ParseIntFlag(v, &args->epochs)) return false;
     } else if (a == "--seed") {
       const char* v = next();
       if (!v) return false;
-      args->seed = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseIntFlag(v, &args->seed)) return false;
     } else if (a == "--model") {
       const char* v = next();
       if (!v) return false;
@@ -255,8 +268,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--threads") {
       const char* v = next();
       if (!v) return false;
-      args->threads = std::atoi(v);
-      if (args->threads < 1) return false;
+      if (!ParseIntFlag(v, &args->threads, 1)) return false;
     } else if (a == "--deadline-ms") {
       const char* v = next();
       if (!v) return false;
@@ -264,18 +276,15 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--max-queue") {
       const char* v = next();
       if (!v) return false;
-      args->max_queue = std::atoi(v);
-      if (args->max_queue < 1) return false;
+      if (!ParseIntFlag(v, &args->max_queue, 1)) return false;
     } else if (a == "--encode-batch") {
       const char* v = next();
       if (!v) return false;
-      args->encode_batch = std::atoi(v);
-      if (args->encode_batch < 1) return false;
+      if (!ParseIntFlag(v, &args->encode_batch, 1)) return false;
     } else if (a == "--cell-cache") {
       const char* v = next();
       if (!v) return false;
-      args->cell_cache = std::atoi(v);
-      if (args->cell_cache < 0) return false;
+      if (!ParseIntFlag(v, &args->cell_cache)) return false;
     } else if (a.rfind("--admission=", 0) == 0 || a == "--admission") {
       const char* v;
       std::string held;
@@ -297,36 +306,43 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--retry-budget") {
       const char* v = next();
       if (!v) return false;
-      args->retry_budget = std::atof(v);
-      if (args->retry_budget < 0) return false;
+      if (!ParseDoubleFlag(v, &args->retry_budget)) return false;
     } else if (a.rfind("--retry-budget=", 0) == 0) {
-      args->retry_budget = std::atof(a.c_str() + std::strlen("--retry-budget="));
-      if (args->retry_budget < 0) return false;
+      if (!ParseDoubleFlag(a.c_str() + std::strlen("--retry-budget="),
+                           &args->retry_budget)) {
+        return false;
+      }
     } else if (a == "--load-rate") {
       const char* v = next();
       if (!v) return false;
-      args->load_rate = std::atof(v);
-      if (args->load_rate < 0) return false;
+      if (!ParseDoubleFlag(v, &args->load_rate)) return false;
     } else if (a.rfind("--load-rate=", 0) == 0) {
-      args->load_rate = std::atof(a.c_str() + std::strlen("--load-rate="));
-      if (args->load_rate < 0) return false;
+      if (!ParseDoubleFlag(a.c_str() + std::strlen("--load-rate="),
+                           &args->load_rate)) {
+        return false;
+      }
     } else if (a == "--load-duration-s") {
       const char* v = next();
       if (!v) return false;
-      args->load_duration_s = std::atof(v);
-      if (args->load_duration_s <= 0) return false;
+      if (!ParseDoubleFlag(v, &args->load_duration_s) ||
+          args->load_duration_s <= 0) {
+        return false;
+      }
     } else if (a.rfind("--load-duration-s=", 0) == 0) {
-      args->load_duration_s =
-          std::atof(a.c_str() + std::strlen("--load-duration-s="));
-      if (args->load_duration_s <= 0) return false;
+      if (!ParseDoubleFlag(a.c_str() + std::strlen("--load-duration-s="),
+                           &args->load_duration_s) ||
+          args->load_duration_s <= 0) {
+        return false;
+      }
     } else if (a == "--load-zipf") {
       const char* v = next();
       if (!v) return false;
-      args->load_zipf = std::atof(v);
-      if (args->load_zipf < 0) return false;
+      if (!ParseDoubleFlag(v, &args->load_zipf)) return false;
     } else if (a.rfind("--load-zipf=", 0) == 0) {
-      args->load_zipf = std::atof(a.c_str() + std::strlen("--load-zipf="));
-      if (args->load_zipf < 0) return false;
+      if (!ParseDoubleFlag(a.c_str() + std::strlen("--load-zipf="),
+                           &args->load_zipf)) {
+        return false;
+      }
     } else if (a == "--load-burst-on-ms") {
       const char* v = next();
       if (!v) return false;
@@ -348,10 +364,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--load-seed") {
       const char* v = next();
       if (!v) return false;
-      args->load_seed = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseIntFlag(v, &args->load_seed)) return false;
     } else if (a.rfind("--load-seed=", 0) == 0) {
-      args->load_seed = static_cast<uint64_t>(
-          std::atoll(a.c_str() + std::strlen("--load-seed=")));
+      if (!ParseIntFlag(a.c_str() + std::strlen("--load-seed="),
+                        &args->load_seed)) {
+        return false;
+      }
     } else if (a.rfind("--trace=", 0) == 0) {
       args->trace_path = a.substr(std::strlen("--trace="));
       if (args->trace_path.empty()) return false;
@@ -383,8 +401,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--statsz-interval-ms") {
       const char* v = next();
       if (v == nullptr) return false;
-      args->statsz_interval_ms = std::atoll(v);
-      if (args->statsz_interval_ms < 1) return false;
+      if (!ParseMillis(v, &args->statsz_interval_ms) ||
+          args->statsz_interval_ms < 1) {
+        return false;
+      }
     } else if (a == "--slo-ms") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -418,16 +438,17 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--profile-hz") {
       const char* v = next();
       if (v == nullptr) return false;
-      args->profile_hz = std::atoi(v);
-      if (args->profile_hz < 1) return false;
+      if (!ParseIntFlag(v, &args->profile_hz, 1)) return false;
     } else if (a == "--heap-profile") {
       args->heap_profile = true;
     } else if (a.rfind("--faults=", 0) == 0) {
       args->faults = a.substr(std::strlen("--faults="));
       if (args->faults.empty()) return false;
     } else if (a.rfind("--fault-seed=", 0) == 0) {
-      args->fault_seed = static_cast<uint64_t>(
-          std::atoll(a.c_str() + std::strlen("--fault-seed=")));
+      if (!ParseIntFlag(a.c_str() + std::strlen("--fault-seed="),
+                        &args->fault_seed)) {
+        return false;
+      }
     } else if (a.rfind("--snapshot=", 0) == 0) {
       args->snapshot_path = a.substr(std::strlen("--snapshot="));
       if (args->snapshot_path.empty()) return false;
@@ -450,8 +471,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         return false;
       }
     } else if (a.rfind("--snapshot-generation=", 0) == 0) {
-      args->snapshot_generation = static_cast<uint64_t>(
-          std::atoll(a.c_str() + std::strlen("--snapshot-generation=")));
+      if (!ParseIntFlag(a.c_str() + std::strlen("--snapshot-generation="),
+                        &args->snapshot_generation)) {
+        return false;
+      }
     } else if (a.rfind("--", 0) != 0) {
       args->csv_path = a;
     } else {

@@ -1,8 +1,6 @@
 #include "linker/entity_linker.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/scope.h"
@@ -111,49 +109,62 @@ RowLinks EntityLinker::LinkRow(const table::Table& table, int row,
   RowLinks out;
   int cols = table.num_cols();
   out.cells.reserve(static_cast<size_t>(cols));
-  for (int c = 0; c < cols; ++c) {
-    out.cells.push_back(LinkCell(table.at(row, c), ctx));
-    if (ctx != nullptr && ctx->degraded()) {
-      // Invariant: a RowLinks always spans the full row. Pad the cells the
-      // degradation skipped as empty/unlinkable so downstream per-column
-      // consumers (GenerateCandidateTypes indexes cells[col]) never read
-      // out of bounds on a partial row.
-      out.cells.resize(static_cast<size_t>(cols));
-      return out;
+  {
+    KGLINK_SCOPE("part1.link_cells");
+    for (int c = 0; c < cols; ++c) {
+      out.cells.push_back(LinkCell(table.at(row, c), ctx));
+      if (ctx != nullptr && ctx->degraded()) {
+        // Invariant: a RowLinks always spans the full row. Pad the cells
+        // the degradation skipped as empty/unlinkable so downstream
+        // per-column consumers (GenerateCandidateTypes indexes cells[col])
+        // never read out of bounds on a partial row.
+        out.cells.resize(static_cast<size_t>(cols));
+        return out;
+      }
     }
   }
 
-  // One-hop neighbour multiset of each cell's retrieved entities:
-  // neighbour entity -> number of supporting candidates in that cell.
-  // "kg.neighbors" is a soft fault site: a trip drops one candidate's
-  // neighbour evidence (it just loses overlap support) without retries.
-  std::vector<std::unordered_map<kg::EntityId, int>> neighbor_counts(
-      static_cast<size_t>(cols));
+  KGLINK_SCOPE("part1.overlap");
+  // The live supporters of column c are live[col_begin[c], col_begin[c+1]):
+  // its retrieved entities whose neighbour evidence survived. "kg.neighbors"
+  // is a soft fault site: a trip drops one candidate's neighbour evidence
+  // without retries, so it stops supporting other columns (it is still
+  // pruned and scored itself). Every draw happens here, in (column,
+  // candidate) order and before any counting, which keeps the injected-fault
+  // sequence independent of how support is counted.
+  std::vector<kg::EntityId> live;
+  std::vector<size_t> col_begin;
+  col_begin.reserve(static_cast<size_t>(cols) + 1);
   for (int c = 0; c < cols; ++c) {
-    for (const EntityCandidate& cand : out.cells[static_cast<size_t>(c)].retrieved) {
+    col_begin.push_back(live.size());
+    for (const EntityCandidate& cand :
+         out.cells[static_cast<size_t>(c)].retrieved) {
       if (ctx != nullptr &&
           ctx->SoftFault(robust::FaultSite::kKgNeighbors)) {
         continue;
       }
-      for (kg::EntityId nbr : kg_->NeighborSet(cand.entity)) {
-        ++neighbor_counts[static_cast<size_t>(c)][nbr];
-      }
+      live.push_back(cand.entity);
     }
   }
+  col_begin.push_back(live.size());
 
-  // Eq. 3 pruning + Eq. 6 overlap scores: keep a candidate when it appears
-  // in at least one other column's neighbour set; its overlap score counts
-  // the supporting candidate entities across all other columns.
+  // Eq. 3 pruning + Eq. 6 overlap scores: keep a candidate when it is a
+  // one-hop neighbour of a live candidate in another column; its overlap
+  // score counts those supporting candidates across all other columns.
+  // Frozen neighbour lists are sorted and symmetric (cand in N(e') iff
+  // e' in N(cand)), so the count is one binary search of cand's own list
+  // per supporter.
   int64_t total_kept = 0;
   for (int c1 = 0; c1 < cols; ++c1) {
     CellLinks& cell = out.cells[static_cast<size_t>(c1)];
     for (const EntityCandidate& cand : cell.retrieved) {
+      Span<kg::EntityId> nbrs = kg_->NeighborSet(cand.entity);
       int support = 0;
       for (int c2 = 0; c2 < cols; ++c2) {
         if (c2 == c1) continue;
-        auto it = neighbor_counts[static_cast<size_t>(c2)].find(cand.entity);
-        if (it != neighbor_counts[static_cast<size_t>(c2)].end()) {
-          support += it->second;
+        for (size_t i = col_begin[static_cast<size_t>(c2)];
+             i < col_begin[static_cast<size_t>(c2) + 1]; ++i) {
+          support += std::binary_search(nbrs.begin(), nbrs.end(), live[i]);
         }
       }
       if (support > 0) {

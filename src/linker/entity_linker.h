@@ -35,8 +35,14 @@ class EntityLinker {
 
   // Steps 1+2 for a whole row: link every cell, prune with the
   // inter-column overlap (Eq. 3), compute overlap scores (Eq. 6) and the
-  // cell/row linking scores (Eq. 4-5). The "kg.neighbors" fault site is a
-  // soft site here: a trip drops that candidate's neighbour evidence.
+  // cell/row linking scores (Eq. 4-5). A candidate's overlap support is
+  // the number of candidates in other columns that are its one-hop
+  // neighbours, counted by binary search in its own frozen NeighborSet
+  // (exact because the frozen neighbour relation is symmetric). The
+  // "kg.neighbors" fault site is a soft site here: a trip drops that
+  // candidate's neighbour evidence, so it supports no other column, but it
+  // is still pruned and scored itself. All of a row's draws happen in
+  // (column, candidate) order before any counting.
   //
   // Invariant: the returned RowLinks always has exactly table.num_cols()
   // cells — when the context degrades mid-row, the remaining cells are

@@ -4,6 +4,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,6 +76,19 @@ bool ParseNonNegativeInt(std::string_view s, T* out) {
   if (s.empty() || s[0] < '0' || s[0] > '9') return false;
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
   return ec == std::errc() && ptr == s.data() + s.size();
+}
+
+// Parses s as a finite double over the whole field (std::from_chars
+// syntax: optional '-', decimal or exponent form; no leading '+',
+// whitespace or trailing text). "inf" and "nan" are rejected.
+inline bool ParseFiniteDouble(std::string_view s, double* out) {
+  double v = 0.0;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size() || !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 // printf-style formatting into a std::string.

@@ -4,9 +4,14 @@
 // known exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
+#include <unordered_map>
 
+#include "data/corpus_gen.h"
+#include "data/world.h"
 #include "linker/candidate_types.h"
 #include "linker/entity_linker.h"
 #include "linker/feature_sequence.h"
@@ -322,6 +327,176 @@ TEST_F(LinkerFixture, NonAsciiLabelsLinkEndToEnd) {
   RowLinks row1 = linker.LinkRow(t, 1);
   ASSERT_FALSE(row1.cells[0].pruned.empty());
   EXPECT_EQ(row1.cells[0].pruned[0].entity, tokyo);
+}
+
+
+// The map-based Eq. 3/6 step LinkRow ran before it counted overlap support
+// by binary search: every live candidate's neighbours go into a per-column
+// multiset, then each candidate is looked up in the other columns' sets.
+// It reads "cand is a neighbour of a candidate in another column" straight
+// off the paper, with no reliance on neighbour symmetry, which makes it
+// the oracle for the lookup version.
+RowLinks NeighbourMapOracleLinkRow(const kg::KnowledgeGraph& kg,
+                                   const EntityLinker& linker,
+                                   const table::Table& table, int row,
+                                   robust::TableOpContext* ctx) {
+  RowLinks out;
+  int cols = table.num_cols();
+  for (int c = 0; c < cols; ++c) {
+    out.cells.push_back(linker.LinkCell(table.at(row, c), ctx));
+    if (ctx != nullptr && ctx->degraded()) {
+      out.cells.resize(static_cast<size_t>(cols));
+      return out;
+    }
+  }
+  std::vector<std::unordered_map<kg::EntityId, int>> neighbor_counts(
+      static_cast<size_t>(cols));
+  for (int c = 0; c < cols; ++c) {
+    for (const EntityCandidate& cand :
+         out.cells[static_cast<size_t>(c)].retrieved) {
+      if (ctx != nullptr &&
+          ctx->SoftFault(robust::FaultSite::kKgNeighbors)) {
+        continue;
+      }
+      for (kg::EntityId nbr : kg.NeighborSet(cand.entity)) {
+        ++neighbor_counts[static_cast<size_t>(c)][nbr];
+      }
+    }
+  }
+  for (int c1 = 0; c1 < cols; ++c1) {
+    CellLinks& cell = out.cells[static_cast<size_t>(c1)];
+    for (const EntityCandidate& cand : cell.retrieved) {
+      int support = 0;
+      for (int c2 = 0; c2 < cols; ++c2) {
+        if (c2 == c1) continue;
+        auto it = neighbor_counts[static_cast<size_t>(c2)].find(cand.entity);
+        if (it != neighbor_counts[static_cast<size_t>(c2)].end()) {
+          support += it->second;
+        }
+      }
+      if (support > 0) {
+        EntityCandidate pruned = cand;
+        pruned.overlap_score = static_cast<double>(support);
+        cell.pruned.push_back(pruned);
+      }
+    }
+    for (const EntityCandidate& cand : cell.pruned) {
+      cell.score = std::max(cell.score, cand.linking_score);
+    }
+    out.row_score += cell.score;
+  }
+  return out;
+}
+
+void ExpectSameCandidates(const std::vector<EntityCandidate>& got,
+                          const std::vector<EntityCandidate>& want,
+                          const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].entity, want[i].entity) << where << " #" << i;
+    EXPECT_EQ(got[i].linking_score, want[i].linking_score)
+        << where << " #" << i;
+    EXPECT_EQ(got[i].overlap_score, want[i].overlap_score)
+        << where << " #" << i;
+  }
+}
+
+// Bit-identical, doubles included: both sides add the same integers and
+// take the max of the same BM25 scores in the same order.
+void ExpectSameRowLinks(const RowLinks& got, const RowLinks& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.row_score, want.row_score) << where;
+  ASSERT_EQ(got.cells.size(), want.cells.size()) << where;
+  for (size_t c = 0; c < got.cells.size(); ++c) {
+    std::string cell_where = where + " col " + std::to_string(c);
+    EXPECT_EQ(got.cells[c].linkable, want.cells[c].linkable) << cell_where;
+    EXPECT_EQ(got.cells[c].score, want.cells[c].score) << cell_where;
+    ExpectSameCandidates(got.cells[c].retrieved, want.cells[c].retrieved,
+                         cell_where + " retrieved");
+    ExpectSameCandidates(got.cells[c].pruned, want.cells[c].pruned,
+                         cell_where + " pruned");
+  }
+}
+
+double TotalOverlap(const RowLinks& row) {
+  double total = 0.0;
+  for (const CellLinks& cell : row.cells) {
+    for (const EntityCandidate& cand : cell.pruned) {
+      total += cand.overlap_score;
+    }
+  }
+  return total;
+}
+
+TEST(LinkerTest, OverlapMatchesNeighbourMapOracle) {
+  // SemTab-like tables of 100-200 rows over a world with same-label decoys,
+  // so pruning has ambiguous candidates to drop.
+  data::WorldConfig world_config;
+  world_config.seed = 5;
+  world_config.open_class_scale = 20.0;
+  world_config.duplicate_entity_prob = 0.2;
+  data::World world = data::GenerateWorld(world_config);
+  search::SearchEngine engine = search::IndexKnowledgeGraph(world.kg);
+  data::CorpusOptions options = data::CorpusOptions::SemTabDefaults(16, 17);
+  options.min_rows = 100;
+  options.max_rows = 200;
+  // The generator shortens a table whose anchor class has fewer entities
+  // than the drawn row count; keep only the full-length ones.
+  std::vector<table::Table> tables;
+  for (table::LabeledTable& lt : data::GenerateSemTabCorpus(world, options)
+                                     .tables) {
+    if (lt.table.num_rows() >= 100) tables.push_back(std::move(lt.table));
+  }
+  ASSERT_GE(tables.size(), 5u);
+
+  LinkerConfig config;
+  EntityLinker linker(&world.kg, &engine, config);
+  struct FaultsOff {
+    ~FaultsOff() { robust::FaultInjector::Global().Disable(); }
+  } faults_off;
+  int64_t rows = 0;
+  int64_t pruned = 0;
+  int64_t rows_changed_by_faults = 0;
+  for (const char* spec : {"", "kg.neighbors:0.3"}) {
+    bool faults = spec[0] != '\0';
+    if (faults) {
+      ASSERT_TRUE(robust::FaultInjector::Global()
+                      .ConfigureFromSpec(spec, /*seed=*/1234)
+                      .ok());
+    }
+    for (size_t t = 0; t < tables.size(); ++t) {
+      const table::Table& table = tables[t];
+      for (int r = 0; r < table.num_rows(); ++r) {
+        // Two contexts on the same request stream draw the same faults.
+        RequestContext rc;
+        rc.stream_key = t * 1000 + static_cast<uint64_t>(r);
+        robust::TableOpContext got_ctx(config.retry, config.fault_budget,
+                                       /*jitter_seed=*/1, &rc);
+        robust::TableOpContext want_ctx(config.retry, config.fault_budget,
+                                        /*jitter_seed=*/1, &rc);
+        RowLinks got = linker.LinkRow(table, r, &got_ctx);
+        RowLinks want =
+            NeighbourMapOracleLinkRow(world.kg, linker, table, r, &want_ctx);
+        std::string where = std::string(faults ? "faults" : "clean") +
+                            " table " + std::to_string(t) + " row " +
+                            std::to_string(r);
+        ExpectSameRowLinks(got, want, where);
+        if (faults) {
+          RowLinks clean = linker.LinkRow(table, r);
+          rows_changed_by_faults += TotalOverlap(clean) != TotalOverlap(got);
+        } else {
+          ++rows;
+          for (const CellLinks& cell : got.cells) {
+            pruned += static_cast<int64_t>(cell.pruned.size());
+          }
+        }
+      }
+    }
+  }
+  // Not vacuous: the clean pass kept candidates, and the fault pass
+  // actually changed some rows' support.
+  EXPECT_GT(pruned, rows);
+  EXPECT_GT(rows_changed_by_faults, 0);
 }
 
 }  // namespace

@@ -89,6 +89,16 @@ TEST(ObsIntegrationTest, TraceAndMetricsCoverTrainingRun) {
   EXPECT_EQ(begins["part1.link_rows"], tables);
   EXPECT_EQ(begins["part1.row_filter"], tables);
   EXPECT_EQ(begins["part1.column_features"], tables);
+  // LinkRow's two halves, cell linking and the Eq. 3/6 overlap step, once
+  // per row of every processed table.
+  int rows = split.test.tables[0].table.num_rows();
+  for (const table::Corpus* part : {&split.train, &split.valid}) {
+    for (const table::LabeledTable& lt : part->tables) {
+      rows += lt.table.num_rows();
+    }
+  }
+  EXPECT_EQ(begins["part1.link_cells"], rows);
+  EXPECT_EQ(begins["part1.overlap"], rows);
   // Every training epoch, plus the enclosing fit span.
   EXPECT_EQ(begins["train.fit"], 1);
   EXPECT_EQ(begins["train.epoch"], 2);

@@ -184,6 +184,20 @@ TEST(StringUtilTest, ParseDouble) {
   EXPECT_FALSE(ParseDouble("12x", &v));
 }
 
+TEST(StringUtilTest, ParseFiniteDoubleTakesTheWholeField) {
+  double v = 7;
+  EXPECT_TRUE(ParseFiniteDouble("0.25", &v));
+  EXPECT_EQ(v, 0.25);
+  EXPECT_TRUE(ParseFiniteDouble("-3e2", &v));
+  EXPECT_EQ(v, -300.0);
+  for (const char* bad : {"", "4abc", " 1", "1 ", "+1", "inf", "nan",
+                          "1e999", "0x10", "1,5"}) {
+    v = 7;
+    EXPECT_FALSE(ParseFiniteDouble(bad, &v)) << bad;
+    EXPECT_EQ(v, 7) << bad << " must leave the output untouched";
+  }
+}
+
 TEST(StringUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("%.2f%%", 12.345), "12.35%");
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
