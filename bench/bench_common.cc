@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/heap_profiler.h"
@@ -13,6 +14,7 @@
 #include "obs/trace.h"
 #include "util/csv.h"
 #include "util/stopwatch.h"
+#include "util/string_util.h"
 
 #ifndef KGLINK_GIT_DESCRIBE
 #define KGLINK_GIT_DESCRIBE "unknown"
@@ -81,10 +83,18 @@ void ExportObservabilityAtExit() {
 }
 
 double ReadScale() {
-  const char* s = std::getenv("KGLINK_BENCH_SCALE");
-  if (s == nullptr) return 1.0;
-  double v = std::atof(s);
-  return v > 0 ? v : 1.0;
+  static const double scale = [] {
+    const char* s = std::getenv("KGLINK_BENCH_SCALE");
+    if (s == nullptr) return 1.0;
+    double v = 0.0;
+    if (!ParseFiniteDouble(std::string_view(s), &v) || v <= 0) {
+      std::fprintf(stderr,
+                   "ignoring bad KGLINK_BENCH_SCALE '%s': using 1.0\n", s);
+      return 1.0;
+    }
+    return v;
+  }();
+  return scale;
 }
 
 // ----- bench telemetry -----
@@ -210,7 +220,16 @@ void InitObservabilityFromEnv() {
       ProfilePrefix() = profile;
       obs::ProfilerOptions opts;
       const char* hz = std::getenv("KGLINK_PROFILE_HZ");
-      if (hz != nullptr && hz[0] != '\0') opts.hz = std::atoi(hz);
+      int parsed_hz = 0;
+      if (hz != nullptr && hz[0] != '\0') {
+        if (ParseNonNegativeInt(std::string_view(hz), &parsed_hz)) {
+          opts.hz = parsed_hz;
+        } else {
+          std::fprintf(stderr,
+                       "ignoring bad KGLINK_PROFILE_HZ '%s': using %d Hz\n",
+                       hz, opts.hz);
+        }
+      }
       Status s = obs::Profiler::Global().Start(opts);
       if (!s.ok()) {
         std::fprintf(stderr, "profiler start failed: %s\n",

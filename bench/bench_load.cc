@@ -1,17 +1,17 @@
 // Overload/chaos acceptance harness for the serving path.
 //
 // Phases:
-//   1. Closed-loop capacity probe (no faults, static admission): N workers
-//      submit-and-wait, measuring the sustainable no-fault peak goodput.
+//   1. Closed-loop capacity probe (no faults): N workers submit-and-wait,
+//      measuring the sustainable no-fault peak goodput.
 //   2. Open-loop overload run at `--rate-multiplier` × that peak (default
 //      2×) with injected faults (default "search.topk:0.1,predict:0.01"),
-//      CoDel admission and the service's retry budget both on — the
-//      production overload posture. Bursty zipfian arrivals.
+//      the max_queue admission bound and the service's retry budget on —
+//      the production overload posture. Bursty zipfian arrivals.
 //   3. Gates: goodput under overload ≥ --goodput-floor × peak (0 disables),
 //      and the queue stays bounded (max observed depth ≤ max_queue).
 //   4. Optional --check-determinism: the single-threaded-submission batch
-//      mode twice under the same fault seed (static admission, no retry
-//      budget) must produce byte-identical result checksums.
+//      mode twice under the same fault seed (no retry budget) must produce
+//      byte-identical result checksums.
 //
 // Emits BENCH_load.json. The machine-portable gate metric is
 // load.goodput_vs_peak (ratio — overload goodput relative to the same
@@ -213,8 +213,8 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Goodput under overload (load/chaos harness)",
       "Closed-loop capacity probe, then an open-loop overload run at a "
-      "multiple of the measured peak with injected faults, CoDel "
-      "admission and the retry budget engaged. The gate is goodput "
+      "multiple of the measured peak with injected faults, the queue "
+      "bound and the retry budget engaged. The gate is goodput "
       "retention relative to the same machine's peak.");
 
   // A deliberately small model: this harness measures the overload
@@ -293,19 +293,15 @@ int main(int argc, char** argv) {
     serve::ServiceOptions so;
     so.num_threads = flags.threads;
     so.max_queue = flags.max_queue;
-    so.admission = serve::AdmissionMode::kCodel;
-    // Admission/SLO targets are scaled to the measured capacity, not
-    // hard-coded: one mean service time (threads / peak rate) for the
-    // CoDel sojourn target and 12x it for the SLO target. An absolute
-    // target would shed everything on any machine where it is
-    // unachievable (a TSan CI runner is ~10x slower) and achieve nothing
-    // on a faster one; scaling keeps the gate about the overload
-    // machinery, not the host.
+    // The SLO target is scaled to the measured capacity, not hard-coded:
+    // 12 mean service times (threads / peak rate). An absolute target
+    // would read as all-violating on any machine where it is unachievable
+    // (a TSan CI runner is ~10x slower) and as trivially met on a faster
+    // one; scaling keeps the health report about the overload machinery,
+    // not the host.
     int64_t mean_service_us = std::max<int64_t>(
         1'000,
         static_cast<int64_t>(1e6 * flags.threads / peak_goodput));
-    so.codel.target_us = mean_service_us;
-    so.codel.interval_us = 10 * mean_service_us;
     so.slo_target_us = 12 * mean_service_us;
     so.retry_budget_per_second = 25.0;
     serve::AnnotationService service(&annotator, so);
@@ -390,7 +386,7 @@ int main(int argc, char** argv) {
   }
 
   // Phase 3 (optional): per-seed determinism of the chaos batch mode.
-  // Single-threaded submission, static admission, no retry budget;
+  // Single-threaded submission, no retry budget;
   // per-request fault streams make the 4-thread worker pool immaterial.
   if (flags.check_determinism) {
     serve::LoadgenOptions batch = lg;
@@ -430,7 +426,7 @@ int main(int argc, char** argv) {
   if (failed) return 1;
   std::printf(
       "\nNo paper counterpart: KGLink reports offline accuracy only. This "
-      "harness gates the overload posture (CoDel admission, retry "
-      "budget) added on top.\n");
+      "harness gates the overload posture (queue bound, retry budget) "
+      "added on top.\n");
   return 0;
 }

@@ -14,7 +14,6 @@
 // <dir>/world.seed, so a saved model stays consistent with its KG.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -92,7 +91,6 @@ struct Args {
   int encode_batch = 1;   // --encode-batch N: padded encoder batch drain
   int cell_cache = 4096;  // --cell-cache N: cell-link cache entries (0=off)
   // Overload control (served eval / load eval).
-  std::string admission = "static";  // --admission=codel|static
   double retry_budget = 0.0;  // --retry-budget N: retry tokens/s (0=off)
   // Load-eval (eval with --load-rate > 0): open-loop arrivals against the
   // service instead of one submission per test table.
@@ -131,9 +129,6 @@ int Usage() {
       "                   against it (default 100)\n"
       "\n"
       "overload control (served eval / load eval):\n"
-      "  --admission=MODE static (queue-full bound only, default) or codel\n"
-      "                   (CoDel: shed on sustained queue sojourn above\n"
-      "                   target — the hard bound still applies)\n"
       "  --retry-budget N retry token budget shared by the service's\n"
       "                   requests (tokens/s, burst 2N; 0 = off). An\n"
       "                   exhausted budget degrades the operation instead\n"
@@ -285,24 +280,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const char* v = next();
       if (!v) return false;
       if (!ParseIntFlag(v, &args->cell_cache)) return false;
-    } else if (a.rfind("--admission=", 0) == 0 || a == "--admission") {
-      const char* v;
-      std::string held;
-      if (a == "--admission") {
-        v = next();
-        if (!v) return false;
-      } else {
-        held = a.substr(std::strlen("--admission="));
-        v = held.c_str();
-      }
-      args->admission = v;
-      if (!serve::AdmissionModeFromName(args->admission).has_value()) {
-        std::fprintf(stderr,
-                     "kglink_cli: --admission must be 'static' or 'codel', "
-                     "got '%s'\n",
-                     args->admission.c_str());
-        return false;
-      }
     } else if (a == "--retry-budget") {
       const char* v = next();
       if (!v) return false;
@@ -489,10 +466,15 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 
 // Rebuilds the deterministic world recorded under dir.
 StatusOr<data::World> LoadWorld(const std::string& dir) {
-  KGLINK_ASSIGN_OR_RETURN(std::string seed_text,
-                          ReadFile(dir + "/world.seed"));
+  const std::string path = dir + "/world.seed";
+  KGLINK_ASSIGN_OR_RETURN(std::string seed_text, ReadFile(path));
   data::WorldConfig wc;
-  wc.seed = static_cast<uint64_t>(std::atoll(seed_text.c_str()));
+  // A damaged seed would silently rebuild a different world than the one
+  // the model was trained against.
+  if (!ParseNonNegativeInt(StripWhitespace(seed_text), &wc.seed)) {
+    return Status::Corruption(path +
+                              ": world seed is not a non-negative integer");
+  }
   wc.open_class_scale = 4.0;
   return data::GenerateWorld(wc);
 }
@@ -659,9 +641,6 @@ serve::ServiceOptions ServiceOptionsFromArgs(const Args& args) {
   sopts.encode_batch = args.encode_batch;
   sopts.default_deadline_us = args.deadline_ms * 1000;
   if (args.slo_ms > 0) sopts.slo_target_us = args.slo_ms * 1000;
-  sopts.admission =
-      serve::AdmissionModeFromName(args.admission).value_or(
-          serve::AdmissionMode::kStatic);
   sopts.retry_budget_per_second = args.retry_budget;
   return sopts;
 }
@@ -801,8 +780,7 @@ int Eval(const Args& args) {
   if (args.load_rate > 0) {
     return LoadEval(args, src, annotator, *test);
   }
-  if (args.threads > 1 || args.deadline_ms > 0 || args.retry_budget > 0 ||
-      args.admission != "static") {
+  if (args.threads > 1 || args.deadline_ms > 0 || args.retry_budget > 0) {
     return ServedEval(args, src, annotator, *test);
   }
   eval::Metrics m = annotator.Evaluate(*test);

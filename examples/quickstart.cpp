@@ -3,7 +3,6 @@
 //
 //   ./build/examples/quickstart [num_tables]
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/annotator.h"
 #include "data/corpus_gen.h"
@@ -11,11 +10,21 @@
 #include "eval/metrics.h"
 #include "search/search_engine.h"
 #include "table/corpus.h"
+#include "util/string_util.h"
 
 using namespace kglink;
 
 int main(int argc, char** argv) {
-  int num_tables = argc > 1 ? std::atoi(argv[1]) : 120;
+  int num_tables = 120;
+  bool usage_ok = argc <= 2;
+  if (argc == 2) {
+    usage_ok = ParseNonNegativeInt(std::string_view(argv[1]), &num_tables) &&
+               num_tables >= 1;
+  }
+  if (!usage_ok) {
+    std::fprintf(stderr, "usage: %s [num_tables >= 1]\n", argv[0]);
+    return 2;
+  }
 
   // 1. The substrate: a WikiData-style synthetic KG and its BM25 index.
   data::WorldConfig world_config;

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "obs/json_util.h"
+#include "obs/metrics.h"
 
 namespace kglink::obs {
 
@@ -13,212 +14,132 @@ int64_t SteadyNowMicros() {
       .count();
 }
 
-RollingWindow::RollingWindow(RollingWindowOptions options, ClockMicrosFn clock)
-    : options_(std::move(options)), clock_(std::move(clock)) {
-  KGLINK_CHECK_GT(options_.num_slots, 0);
-  KGLINK_CHECK_GT(options_.window_us, 0);
-  KGLINK_CHECK(!options_.buckets.upper_bounds.empty());
-  slot_width_us_ = std::max<int64_t>(1, options_.window_us / options_.num_slots);
-  origin_us_ = Now();
-  slots_.resize(static_cast<size_t>(options_.num_slots));
-  for (auto& slot : slots_) {
-    slot.buckets.assign(options_.buckets.upper_bounds.size() + 1, 0);
-  }
+const std::vector<double>& RollingWindow::UpperBounds() {
+  static const std::vector<double>& bounds =
+      *new std::vector<double>(HistogramBuckets::LatencyMicros().upper_bounds);
+  return bounds;
 }
 
-int64_t RollingWindow::Now() const {
-  return clock_ ? clock_() : SteadyNowMicros();
+RollingWindow::RollingWindow(int64_t target_us, ClockMicrosFn clock)
+    : target_us_(target_us), clock_(std::move(clock)) {
+  origin_us_ = clock_ ? clock_() : SteadyNowMicros();
+  slots_.resize(static_cast<size_t>(kLongSlots));
 }
 
-void RollingWindow::Record(double value) {
-  const auto& bounds = options_.buckets.upper_bounds;
-  auto it = std::lower_bound(bounds.begin(), bounds.end(), value);
+int64_t RollingWindow::SeqNow() const {
+  int64_t now = clock_ ? clock_() : SteadyNowMicros();
+  // An injected clock set before origin maps to slot 0, never below.
+  return std::max<int64_t>(0, now - origin_us_) / kSlotUs;
+}
+
+void RollingWindow::Record(int64_t latency_us) {
+  const auto& bounds = UpperBounds();
+  auto it = std::lower_bound(bounds.begin(), bounds.end(),
+                             static_cast<double>(latency_us));
   size_t bucket = static_cast<size_t>(it - bounds.begin());
 
   std::lock_guard<std::mutex> lock(mu_);
-  int64_t seq = SeqFor(Now());
-  Slot& slot = slots_[static_cast<size_t>(seq % options_.num_slots)];
+  int64_t seq = SeqNow();
+  Slot& slot = slots_[static_cast<size_t>(seq % kLongSlots)];
   if (slot.seq != seq) {
     // Lazily reclaim the expired slot that owned this ring position.
+    slot = Slot{};
     slot.seq = seq;
-    slot.count = 0;
-    slot.sum = 0.0;
-    std::fill(slot.buckets.begin(), slot.buckets.end(), 0);
   }
   slot.count += 1;
-  slot.sum += value;
+  slot.sum += latency_us;
+  if (latency_us > target_us_) slot.over_target += 1;
   slot.buckets[bucket] += 1;
 }
 
 RollingWindow::Snapshot RollingWindow::Snap() const {
   Snapshot snap;
-  snap.window_us = options_.window_us;
-  snap.upper_bounds = options_.buckets.upper_bounds;
-  snap.bucket_counts.assign(snap.upper_bounds.size() + 1, 0);
+  snap.target_us = target_us_;
+  snap.short_window.window_us = kShortSlots * kSlotUs;
+  snap.long_window.window_us = kLongSlots * kSlotUs;
 
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t seq_now = SeqFor(Now());
-  // Live slots: the current (partial) slot plus the previous num_slots - 1.
-  int64_t oldest_live = seq_now - options_.num_slots + 1;
-  for (const Slot& slot : slots_) {
-    if (slot.seq < oldest_live || slot.seq > seq_now) continue;
-    snap.count += slot.count;
-    snap.sum += slot.sum;
+  auto merge = [](const Slot& slot, Window& w) {
+    w.count += slot.count;
+    w.sum += slot.sum;
+    w.over_target += slot.over_target;
     for (size_t i = 0; i < slot.buckets.size(); ++i) {
-      snap.bucket_counts[i] += slot.buckets[i];
+      w.buckets[i] += slot.buckets[i];
     }
+  };
+  std::lock_guard<std::mutex> lock(mu_);
+  int64_t seq_now = SeqNow();
+  for (const Slot& slot : slots_) {
+    if (slot.seq < seq_now - kLongSlots + 1 || slot.seq > seq_now) continue;
+    merge(slot, snap.long_window);
+    if (slot.seq >= seq_now - kShortSlots + 1) merge(slot, snap.short_window);
   }
   return snap;
 }
 
-double RollingWindow::Snapshot::Quantile(double q) const {
+double RollingWindow::Window::Quantile(double q) const {
   if (count <= 0) return 0.0;
+  const auto& bounds = UpperBounds();
   q = std::min(1.0, std::max(0.0, q));
   double target = q * static_cast<double>(count);
   if (target < 1.0) target = 1.0;  // rank of the first value
   double cum = 0.0;
-  for (size_t i = 0; i < bucket_counts.size(); ++i) {
-    double in_bucket = static_cast<double>(bucket_counts[i]);
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    double in_bucket = static_cast<double>(buckets[i]);
     if (cum + in_bucket < target) {
       cum += in_bucket;
       continue;
     }
-    if (i >= upper_bounds.size()) {
-      // Overflow bucket: no finite upper edge to interpolate toward.
-      return upper_bounds.back();
-    }
-    double lower = i == 0 ? 0.0 : upper_bounds[i - 1];
-    double upper = upper_bounds[i];
+    // Overflow bucket: no finite upper edge to interpolate toward.
+    if (i >= bounds.size()) return bounds.back();
+    double lower = i == 0 ? 0.0 : bounds[i - 1];
+    double upper = bounds[i];
     double frac = in_bucket > 0.0 ? (target - cum) / in_bucket : 1.0;
     return lower + (upper - lower) * frac;
   }
-  return upper_bounds.back();
+  return bounds.back();
 }
 
-std::string RollingWindow::SnapshotJson() const {
-  Snapshot snap = Snap();
-  std::string out = "{\"window_s\": " +
-                    JsonNumber(static_cast<double>(snap.window_us) / 1e6);
-  out += ", \"count\": " + std::to_string(snap.count);
-  out += ", \"mean_us\": " + JsonNumber(snap.Mean());
-  out += ", \"p50_us\": " + JsonNumber(snap.Quantile(0.5));
-  out += ", \"p99_us\": " + JsonNumber(snap.Quantile(0.99));
-  out += ", \"p999_us\": " + JsonNumber(snap.Quantile(0.999));
-  out += "}";
-  return out;
+double RollingWindow::Window::Mean() const {
+  if (count <= 0) return 0.0;
+  return static_cast<double>(sum) / static_cast<double>(count);
 }
 
-RollingRate::RollingRate(int64_t window_us, int num_slots, ClockMicrosFn clock)
-    : window_us_(window_us), clock_(std::move(clock)) {
-  KGLINK_CHECK_GT(num_slots, 0);
-  KGLINK_CHECK_GT(window_us, 0);
-  slot_width_us_ = std::max<int64_t>(1, window_us / num_slots);
-  origin_us_ = Now();
-  slots_.resize(static_cast<size_t>(num_slots));
+double RollingWindow::Window::Compliance() const {
+  if (count <= 0) return 1.0;
+  return static_cast<double>(count - over_target) / static_cast<double>(count);
 }
 
-int64_t RollingRate::Now() const {
-  return clock_ ? clock_() : SteadyNowMicros();
+double RollingWindow::Window::BurnRate() const {
+  if (count <= 0) return 0.0;
+  return static_cast<double>(over_target) / static_cast<double>(count) /
+         (1.0 - kObjective);
 }
 
-void RollingRate::Record(bool marked) {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t seq = (Now() - origin_us_) / slot_width_us_;
-  Slot& slot = slots_[static_cast<size_t>(seq) % slots_.size()];
-  if (slot.seq != seq) {
-    slot.seq = seq;
-    slot.total = 0;
-    slot.marked = 0;
-  }
-  slot.total += 1;
-  if (marked) slot.marked += 1;
+std::string RollingWindow::Snapshot::WindowJson() const {
+  const Window& w = short_window;
+  return "{\"window_s\": " +
+         JsonNumber(static_cast<double>(w.window_us) / 1e6) +
+         ", \"count\": " + std::to_string(w.count) +
+         ", \"mean_us\": " + JsonNumber(w.Mean()) +
+         ", \"p50_us\": " + JsonNumber(w.Quantile(0.5)) +
+         ", \"p99_us\": " + JsonNumber(w.Quantile(0.99)) +
+         ", \"p999_us\": " + JsonNumber(w.Quantile(0.999)) + "}";
 }
 
-RollingRate::Counts RollingRate::Snap() const {
-  Counts counts;
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t seq_now = (Now() - origin_us_) / slot_width_us_;
-  int64_t oldest_live = seq_now - static_cast<int64_t>(slots_.size()) + 1;
-  for (const Slot& slot : slots_) {
-    if (slot.seq < oldest_live || slot.seq > seq_now) continue;
-    counts.total += slot.total;
-    counts.marked += slot.marked;
-  }
-  return counts;
-}
-
-SloMonitor::SloMonitor(SloOptions options, ClockMicrosFn clock)
-    : options_(options),
-      short_(options.short_window_us, options.num_slots, clock),
-      long_(options.long_window_us, options.num_slots, clock) {}
-
-void SloMonitor::Record(int64_t latency_us) {
-  bool violation = latency_us > options_.target_latency_us;
-  short_.Record(violation);
-  long_.Record(violation);
-}
-
-namespace {
-
-double Compliance(const RollingRate::Counts& counts) {
-  if (counts.total <= 0) return 1.0;
-  return static_cast<double>(counts.total - counts.marked) /
-         static_cast<double>(counts.total);
-}
-
-double BurnRate(const RollingRate::Counts& counts, double objective) {
-  if (counts.total <= 0) return 0.0;
-  double budget = std::max(1.0 - objective, 1e-9);
-  double violation_rate = static_cast<double>(counts.marked) /
-                          static_cast<double>(counts.total);
-  return violation_rate / budget;
-}
-
-std::string WindowJson(const RollingRate::Counts& counts, int64_t window_us,
-                       double objective) {
-  std::string out =
-      "{\"window_s\": " + JsonNumber(static_cast<double>(window_us) / 1e6);
-  out += ", \"total\": " + std::to_string(counts.total);
-  out += ", \"violations\": " + std::to_string(counts.marked);
-  out += ", \"compliance\": " + JsonNumber(Compliance(counts));
-  out += ", \"burn_rate\": " + JsonNumber(BurnRate(counts, objective));
-  out += "}";
-  return out;
-}
-
-}  // namespace
-
-SloMonitor::Snapshot SloMonitor::Snap() const {
-  Snapshot snap;
-  RollingRate::Counts s = short_.Snap();
-  RollingRate::Counts l = long_.Snap();
-  snap.short_total = s.total;
-  snap.short_violations = s.marked;
-  snap.long_total = l.total;
-  snap.long_violations = l.marked;
-  snap.short_compliance = Compliance(s);
-  snap.long_compliance = Compliance(l);
-  snap.short_burn_rate = BurnRate(s, options_.objective);
-  snap.long_burn_rate = BurnRate(l, options_.objective);
-  snap.burning = snap.short_burn_rate > 1.0 && snap.long_burn_rate > 1.0;
-  return snap;
-}
-
-std::string SloMonitor::SnapshotJson() const {
-  RollingRate::Counts s = short_.Snap();
-  RollingRate::Counts l = long_.Snap();
-  double short_burn = BurnRate(s, options_.objective);
-  double long_burn = BurnRate(l, options_.objective);
-  std::string out =
-      "{\"target_us\": " + std::to_string(options_.target_latency_us);
-  out += ", \"objective\": " + JsonNumber(options_.objective);
-  out += std::string(", \"burning\": ") +
-         (short_burn > 1.0 && long_burn > 1.0 ? "true" : "false");
-  out += ", \"short\": " +
-         WindowJson(s, short_.window_us(), options_.objective);
-  out += ", \"long\": " + WindowJson(l, long_.window_us(), options_.objective);
-  out += "}";
-  return out;
+std::string RollingWindow::Snapshot::SloJson() const {
+  auto span_json = [](const Window& w) {
+    return "{\"window_s\": " +
+           JsonNumber(static_cast<double>(w.window_us) / 1e6) +
+           ", \"total\": " + std::to_string(w.count) +
+           ", \"violations\": " + std::to_string(w.over_target) +
+           ", \"compliance\": " + JsonNumber(w.Compliance()) +
+           ", \"burn_rate\": " + JsonNumber(w.BurnRate()) + "}";
+  };
+  return "{\"target_us\": " + std::to_string(target_us) +
+         ", \"objective\": " + JsonNumber(kObjective) +
+         ", \"burning\": " + (burning() ? "true" : "false") +
+         ", \"short\": " + span_json(short_window) +
+         ", \"long\": " + span_json(long_window) + "}";
 }
 
 }  // namespace kglink::obs

@@ -1,25 +1,20 @@
-// Sliding-window statistics: answers "what is p99 over the last 10
-// seconds" where the cumulative MetricsRegistry histograms can only answer
-// "since process start".
+// Sliding-window latency statistics and SLO burn: "what is p99 over the
+// last 10 seconds, and is the error budget burning", where the cumulative
+// MetricsRegistry histograms only answer "since process start".
 //
-// RollingWindow is a ring of bucket-histogram slots: the window (e.g. 10s)
-// is divided into num_slots slots (e.g. 1s each); a recorded value lands in
-// the slot owned by the current slot-sequence number, and a snapshot merges
-// only the slots whose sequence number is still inside the window. Slots
-// are reclaimed lazily (a stale slot is zeroed the first time a new
-// sequence number writes into its ring position), so there is no
-// background thread. The oldest live slot may carry values up to one slot
-// width older than the nominal window — the standard ring approximation.
+// RollingWindow is one ring of kLongSlots one-second slots, each holding
+// {count, sum, over_target, LatencyMicros bucket counts} for the slot-
+// sequence number that last wrote it. A stale slot is zeroed lazily the
+// first time a new sequence number writes its ring position, so there is
+// no background thread. One Snap() under the ring's mutex merges the
+// newest kShortSlots slots (10 s) and all live slots (60 s), so the latency
+// stats and both SLO windows describe the same instant. The oldest live
+// slot may hold values up to one slot older than the nominal window.
 //
-// RollingRate is the counts-only sibling (total + marked events) that
-// backs SloMonitor: a latency-SLO tracker with a compliance ratio and an
-// error-budget burn rate over a short and a long window (the multi-window
-// burn-rate alerting pattern: page only when both windows burn).
-//
-// All updates take a mutex — these sit on the per-request completion path
-// (thousands/sec), not the per-cell hot path. The clock is injectable so
-// tests (and the TSan/chaos jobs) can drive window rotation
-// deterministically with a virtual clock.
+// Burn rate is violation_rate / (1 - kObjective): 1.0 consumes the error
+// budget exactly as provisioned, 10 means 10% of requests miss the target.
+// "burning" (page only when both windows burn) needs both rates > 1.
+// The clock is injectable so tests drive rotation deterministically.
 #ifndef KGLINK_OBS_ROLLING_WINDOW_H_
 #define KGLINK_OBS_ROLLING_WINDOW_H_
 
@@ -29,8 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
-
 namespace kglink::obs {
 
 // Monotonic time source in microseconds. An empty function means "use
@@ -39,137 +32,72 @@ using ClockMicrosFn = std::function<int64_t()>;
 
 int64_t SteadyNowMicros();
 
-struct RollingWindowOptions {
-  int64_t window_us = 10'000'000;  // total sliding window
-  int num_slots = 10;              // granularity = window_us / num_slots
-  HistogramBuckets buckets = HistogramBuckets::LatencyMicros();
-};
-
 class RollingWindow {
  public:
-  explicit RollingWindow(RollingWindowOptions options,
-                         ClockMicrosFn clock = {});
+  static constexpr int64_t kSlotUs = 1'000'000;
+  static constexpr int kShortSlots = 10;  // 10 s window
+  static constexpr int kLongSlots = 60;   // 60 s window (the ring size)
+  static constexpr double kObjective = 0.99;
+
+  // A request "meets SLO" when its latency is <= target_us.
+  explicit RollingWindow(int64_t target_us, ClockMicrosFn clock = {});
   RollingWindow(const RollingWindow&) = delete;
   RollingWindow& operator=(const RollingWindow&) = delete;
 
-  void Record(double value);
+  // The LatencyMicros upper bounds that every Window's buckets follow.
+  static const std::vector<double>& UpperBounds();
 
-  struct Snapshot {
+  void Record(int64_t latency_us);
+
+  // One merged span of slots.
+  struct Window {
     int64_t window_us = 0;
     int64_t count = 0;
-    double sum = 0.0;
-    std::vector<double> upper_bounds;
-    std::vector<int64_t> bucket_counts;  // upper_bounds.size() + 1 (overflow)
+    int64_t sum = 0;
+    int64_t over_target = 0;
+    // One count per LatencyMicros bound, plus the overflow bucket.
+    std::vector<int64_t> buckets =
+        std::vector<int64_t>(UpperBounds().size() + 1, 0);
 
     // Interpolated quantile estimate for q in [0, 1] (Prometheus
     // histogram_quantile convention: linear within the target bucket).
     // Returns 0 when empty; a target rank in the overflow bucket returns
     // the largest finite bound (a conservative lower estimate).
     double Quantile(double q) const;
-    double Mean() const { return count > 0 ? sum / count : 0.0; }
+    double Mean() const;
+    double Compliance() const;  // 1.0 when idle
+    double BurnRate() const;    // 0.0 when idle
   };
-  Snapshot Snap() const;
-
-  // {"window_s": …, "count": …, "mean_us": …, "p50_us": …, "p99_us": …,
-  //  "p999_us": …}
-  std::string SnapshotJson() const;
-
- private:
-  struct Slot {
-    int64_t seq = -1;  // slot-sequence number this data belongs to
-    int64_t count = 0;
-    double sum = 0.0;
-    std::vector<int64_t> buckets;
-  };
-
-  int64_t Now() const;
-  int64_t SeqFor(int64_t now_us) const {
-    return (now_us - origin_us_) / slot_width_us_;
-  }
-
-  RollingWindowOptions options_;
-  ClockMicrosFn clock_;
-  int64_t slot_width_us_;
-  int64_t origin_us_;
-  mutable std::mutex mu_;
-  std::vector<Slot> slots_;
-};
-
-// Sliding-window {total, marked} event counts over the same ring scheme.
-class RollingRate {
- public:
-  RollingRate(int64_t window_us, int num_slots, ClockMicrosFn clock = {});
-  RollingRate(const RollingRate&) = delete;
-  RollingRate& operator=(const RollingRate&) = delete;
-
-  void Record(bool marked);
-
-  struct Counts {
-    int64_t total = 0;
-    int64_t marked = 0;
-  };
-  Counts Snap() const;
-  int64_t window_us() const { return window_us_; }
-
- private:
-  struct Slot {
-    int64_t seq = -1;
-    int64_t total = 0;
-    int64_t marked = 0;
-  };
-
-  int64_t Now() const;
-
-  int64_t window_us_;
-  ClockMicrosFn clock_;
-  int64_t slot_width_us_;
-  int64_t origin_us_;
-  mutable std::mutex mu_;
-  std::vector<Slot> slots_;
-};
-
-struct SloOptions {
-  int64_t target_latency_us = 100'000;  // a request "meets SLO" under this
-  double objective = 0.99;              // required meeting fraction
-  int64_t short_window_us = 10'000'000;
-  int64_t long_window_us = 60'000'000;
-  int num_slots = 10;  // per window
-};
-
-// Latency-SLO compliance and error-budget burn over two windows. Burn rate
-// is violation_rate / error_budget: 1.0 means the error budget is being
-// consumed exactly as provisioned, >1 means faster. With objective 0.99, a
-// burn rate of 10 means 10% of requests are missing the target.
-class SloMonitor {
- public:
-  explicit SloMonitor(SloOptions options, ClockMicrosFn clock = {});
-  SloMonitor(const SloMonitor&) = delete;
-  SloMonitor& operator=(const SloMonitor&) = delete;
-
-  void Record(int64_t latency_us);
 
   struct Snapshot {
-    int64_t short_total = 0, short_violations = 0;
-    int64_t long_total = 0, long_violations = 0;
-    double short_compliance = 1.0, long_compliance = 1.0;  // 1.0 if idle
-    double short_burn_rate = 0.0, long_burn_rate = 0.0;
-    // Multi-window alert condition: both windows burning faster than
-    // provisioned.
-    bool burning = false;
+    int64_t target_us = 0;
+    Window short_window;
+    Window long_window;
+
+    bool burning() const {
+      return short_window.BurnRate() > 1.0 && long_window.BurnRate() > 1.0;
+    }
+    // {"window_s", "count", "mean_us", "p50_us", "p99_us", "p999_us"} of
+    // the short window.
+    std::string WindowJson() const;
+    // {"target_us", "objective", "burning", "short": {"window_s", "total",
+    //  "violations", "compliance", "burn_rate"}, "long": {…}}
+    std::string SloJson() const;
   };
   Snapshot Snap() const;
 
-  // {"target_us": …, "objective": …, "burning": …,
-  //  "short": {"window_s": …, "total": …, "violations": …,
-  //            "compliance": …, "burn_rate": …}, "long": {…}}
-  std::string SnapshotJson() const;
-
-  const SloOptions& options() const { return options_; }
-
  private:
-  SloOptions options_;
-  RollingRate short_;
-  RollingRate long_;
+  struct Slot : Window {
+    int64_t seq = -1;  // slot-sequence number this data belongs to
+  };
+
+  int64_t SeqNow() const;
+
+  int64_t target_us_;
+  ClockMicrosFn clock_;
+  int64_t origin_us_;
+  mutable std::mutex mu_;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace kglink::obs

@@ -64,7 +64,13 @@ struct EnvInit {
     if (spec == nullptr || *spec == '\0') return;
     uint64_t seed = 42;
     if (const char* s = std::getenv("KGLINK_FAULT_SEED")) {
-      seed = static_cast<uint64_t>(std::atoll(s));
+      if (!ParseNonNegativeInt(std::string_view(s), &seed)) {
+        std::fprintf(stderr,
+                     "ignoring bad KGLINK_FAULT_SEED '%s': faults stay "
+                     "unarmed\n",
+                     s);
+        return;
+      }
     }
     Status st = FaultInjector::Global().ConfigureFromSpec(spec, seed);
     if (!st.ok()) {

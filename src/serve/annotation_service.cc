@@ -60,7 +60,6 @@ const char* RequestStatusName(RequestStatus status) {
 }
 
 ServiceOptions ValidatedServiceOptions(ServiceOptions options) {
-  const ServiceOptions defaults;
   auto clamp_warn = [](const char* field) {
     KGLINK_LOG(kWarn, "serve.options.clamped").With("field", field);
   };
@@ -74,20 +73,6 @@ ServiceOptions ValidatedServiceOptions(ServiceOptions options) {
     options.default_deadline_us = 0;
     clamp_warn("default_deadline_us");
   }
-  if (options.codel.target_us < 1) {
-    options.codel.target_us = defaults.codel.target_us;
-    clamp_warn("codel.target_us");
-  }
-  if (options.codel.interval_us < 1) {
-    options.codel.interval_us = defaults.codel.interval_us;
-    clamp_warn("codel.interval_us");
-  }
-  if (options.codel.interval_us < options.codel.target_us) {
-    // An interval shorter than the target would declare a standing queue
-    // off a single slow dequeue.
-    options.codel.interval_us = options.codel.target_us;
-    clamp_warn("codel.interval_us");
-  }
   if (options.retry_budget_per_second < 0.0) {
     options.retry_budget_per_second = 0.0;
     clamp_warn("retry_budget_per_second");
@@ -98,15 +83,9 @@ ServiceOptions ValidatedServiceOptions(ServiceOptions options) {
 AnnotationService::AnnotationService(core::KgLinkAnnotator* annotator,
                                      ServiceOptions options)
     : annotator_(annotator),
-      options_(ValidatedServiceOptions(std::move(options))) {
+      options_(ValidatedServiceOptions(std::move(options))),
+      latency_window_(options_.slo_target_us, options_.clock) {
   KGLINK_CHECK(annotator_ != nullptr);
-  latency_window_ = std::make_unique<obs::RollingWindow>(
-      obs::RollingWindowOptions{}, options_.clock);
-  obs::SloOptions slo_options;
-  slo_options.target_latency_us = options_.slo_target_us;
-  slo_ = std::make_unique<obs::SloMonitor>(slo_options, options_.clock);
-  codel_ = std::make_unique<CodelAdmissionController>(options_.codel,
-                                                      options_.clock);
   for (auto& c : completed_) c.store(0, std::memory_order_relaxed);
   if (options_.retry_budget_per_second > 0.0) {
     robust::RetryBudgetOptions budget;
@@ -153,24 +132,18 @@ std::future<AnnotationResult> AnnotationService::Submit(
     open = accepting_;
     paused = paused_;
     if (open) {
-      // CoDel sheds on sustained queue sojourn even when the queue has
-      // room — a standing queue at any depth means every admitted request
-      // pays the backlog. Static mode only sheds on the depth bound.
-      bool codel_shed = options_.admission == AdmissionMode::kCodel &&
-                        !paused && !queue_.empty() && codel_->ShouldShed();
-      if (!codel_shed &&
-          static_cast<int>(queue_.size()) < options_.max_queue) {
+      if (static_cast<int>(queue_.size()) < options_.max_queue) {
         req.enqueue_us = NowMicros();
         queue_.push_back(std::move(req));
         ServeMetrics::Get().queue_depth.Set(
             static_cast<double>(queue_.size()));
         enqueued = true;
       } else if (!paused && !req.rc.Expired()) {
-        // Shed (queue full, or CoDel says the sojourn is out of control).
-        // The degraded run calls into the annotator, so it joins the
-        // quiesce-tracked inflight count from inside the lock — a snapshot
-        // reload that sees inflight == 0 under mu_ knows no shed run is
-        // active or can start before the swap finishes.
+        // Shed: the queue is full. The degraded run calls into the
+        // annotator, so it joins the quiesce-tracked inflight count from
+        // inside the lock — a snapshot reload that sees inflight == 0
+        // under mu_ knows no shed run is active or can start before the
+        // swap finishes.
         shed = true;
         ++inflight_;
         ServeMetrics::Get().inflight.Set(static_cast<double>(inflight_));
@@ -268,7 +241,6 @@ void AnnotationService::WorkerLoop() {
     for (size_t i = 0; i < batch.size(); ++i) {
       sojourns[i] = now - batch[i].enqueue_us;
       if (sojourns[i] < 0) sojourns[i] = 0;
-      codel_->OnDequeue(sojourns[i]);
     }
     if (batch.size() > 1) {
       // Fold the drained requests into one padded encoder forward.
@@ -495,8 +467,7 @@ void AnnotationService::ObserveCompletion(const table::Table& table,
                                           const RequestContext& rc,
                                           const AnnotationResult& result) {
   int64_t total_us = result.total_us();
-  latency_window_->Record(static_cast<double>(total_us));
-  slo_->Record(total_us);
+  latency_window_.Record(total_us);
 
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   if (!recorder.enabled()) return;
@@ -599,11 +570,10 @@ std::string AnnotationService::HealthJson() const {
            std::to_string(completed(static_cast<RequestStatus>(i)));
   }
   out += "}";
-  out += ", \"window\": " + latency_window_->SnapshotJson();
-  out += ", \"slo\": " + slo_->SnapshotJson();
-  out += std::string(", \"admission\": {\"mode\": \"") +
-         AdmissionModeName(options_.admission) + "\", " +
-         codel_->SnapshotJsonFields() + "}";
+  // Both sections come from one snapshot, so they describe one instant.
+  obs::RollingWindow::Snapshot window = latency_window_.Snap();
+  out += ", \"window\": " + window.WindowJson();
+  out += ", \"slo\": " + window.SloJson();
   out += ", \"retry_budget\": " + (retry_budget_ != nullptr
                                        ? retry_budget_->SnapshotJson()
                                        : std::string("{\"enabled\": false}"));

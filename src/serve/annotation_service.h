@@ -3,31 +3,29 @@
 //
 // Architecture (three cooperating pieces):
 //
-//   Submit ──► admission controller ──► bounded queue ──► worker pool
-//                │ (full queue)                             │
-//                └─► shed: degraded PLM-only run inline,    └─► deadline /
-//                    or kOverloaded when the deadline           cancellation
-//                    cannot even fit that                       propagate to
-//                                                               every layer
+//   Submit ──► max_queue bound ──► bounded queue ──► worker pool
+//                │ (full queue)                        │
+//                └─► shed: degraded PLM-only run       └─► deadline /
+//                    inline, or kOverloaded when the       cancellation
+//                    deadline cannot even fit that         propagate to
+//                                                          every layer
 //
 // - Every request carries a Deadline + CancellationToken (RequestContext)
 //   through linker::KgPipeline, search::SearchEngine::TopK and the predict
 //   pass. An expired request short-circuits to the degraded PLM-only
 //   ProcessedTable (degrade_reason "deadline" / "cancelled") — full-width
 //   predictions, never a crash or a partial result.
-// - The admission controller bounds the queue: when it is full the caller
-//   thread runs the degraded PLM-only path inline (status kShed) if the
-//   request's deadline still allows, else the request is refused
-//   (kOverloaded) without touching the model. With admission mode kCodel, a
-//   CoDel controller additionally sheds on *sustained queue sojourn time*
-//   (serve/overload.h) — arrivals are shed before the hard bound is hit
-//   whenever dequeues keep observing a standing queue above target.
+// - Admission has one rule, the hard max_queue bound: when the queue is
+//   full the caller thread runs the degraded PLM-only path inline (status
+//   kShed) if the request's deadline still allows, else the request is
+//   refused (kOverloaded) without touching the model.
 // - With a retry rate configured, the service owns a retry budget
 //   (robust/retry_budget.h) and lends it to every request it runs, so a
 //   correlated fault burst degrades tables instead of multiplying retries.
-// - Health/readiness: HealthJson() snapshots queue depth, inflight count
-//   and per-status totals; the same numbers are exported through the obs
-//   metrics registry ("serve.*").
+// - Health/readiness: HealthJson() snapshots queue depth, inflight count,
+//   per-status totals and the sliding latency/SLO window (one
+//   obs::RollingWindow, recorded once per completion); the counts are
+//   also exported through the obs metrics registry ("serve.*").
 //
 // Thread safety: all public methods are safe from any thread. The borrowed
 // annotator must have finished Fit/Load before the first Submit, and
@@ -52,7 +50,6 @@
 #include "obs/request_telemetry.h"
 #include "obs/rolling_window.h"
 #include "robust/retry_budget.h"
-#include "serve/overload.h"
 #include "store/snapshot_store.h"
 #include "table/table.h"
 #include "util/deadline.h"
@@ -75,31 +72,23 @@ struct ServiceOptions {
   int64_t default_deadline_us = 0;
 
   // Latency SLO target surfaced by HealthJson(). The objective (0.99),
-  // the burn-rate windows (10 s short, 60 s long) and the latency-stats
-  // window (10 s in 10 slots) are the obs::SloOptions /
-  // obs::RollingWindowOptions defaults.
+  // the burn-rate windows (10 s short, 60 s long, in 1 s slots) and the
+  // latency-stats window (the 10 s one) are obs::RollingWindow constants.
   int64_t slo_target_us = 100'000;
 
-  // ---- Overload control (see serve/overload.h) -----------------------
-  // kStatic keeps the hard max_queue bound only; kCodel layers sojourn-
-  // based shedding on top of it.
-  AdmissionMode admission = AdmissionMode::kStatic;
-  CodelOptions codel;
   // Retry tokens per second of the budget this service lends its requests
   // (burst 2× the rate); 0 disables (retries stay bounded per table only).
   double retry_budget_per_second = 0.0;
-  // Injectable monotonic-microseconds clock driving admission, the retry
-  // budget and queue-sojourn measurement. Empty = steady clock;
-  // tests inject a virtual clock for deterministic overload behavior.
+  // Injectable monotonic-microseconds clock driving the latency/SLO
+  // window, the retry budget and queue-sojourn measurement. Empty = steady
+  // clock; tests inject a virtual clock for deterministic rotation.
   obs::ClockMicrosFn clock;
 };
 
-// Clamps nonsensical overload-control parameters to sane values (warning
-// logged per clamp) instead of letting a misconfigured service run
-// silently: non-positive CoDel target/interval fall back to defaults, the
-// interval is at least the target, and a negative retry rate becomes 0.
-// Applied by the constructor; exposed so CLI flag validation can reject
-// the same inputs loudly.
+// Clamps nonsensical parameters to sane values (warning logged per clamp)
+// instead of letting a misconfigured service run silently: thread and
+// queue counts of at least 1, encode_batch at least 1, and a negative
+// deadline or retry rate becomes 0. Applied by the constructor.
 ServiceOptions ValidatedServiceOptions(ServiceOptions options);
 
 // Terminal state of one request. Ordered roughly by "how much work ran".
@@ -194,8 +183,6 @@ class AnnotationService {
   //  "inflight":…, "completed":{status:count,…},
   //  "window":{window_s,count,mean_us,p50_us,p99_us,p999_us},
   //  "slo":{target_us,objective,burning,short:{…},long:{…}},
-  //  "admission":{mode,target_us,interval_us,sojourn_ewma_us,overloaded,
-  //               sheds},
   //  "retry_budget":{enabled[,tokens_per_second,burst,fill,granted,
   //                  denied]},
   //  "snapshot":{attached,generation,sequence,source,reloading,
@@ -204,7 +191,9 @@ class AnnotationService {
   //  "cell_cache":{capacity,size,hits,misses,evictions},
   //  "profile":{running,hz,ticks,samples,…,heap:{…},
   //             process:{rss_bytes,peak_rss_bytes,arena_bytes}}}
-  // "window"/"slo" cover sliding windows (not cumulative-since-start);
+  // "window"/"slo" cover sliding windows (not cumulative-since-start) and
+  // are rendered from one RollingWindow snapshot, so window.count equals
+  // slo.short.total;
   // "retry_budget" is this service's own budget. snapshot appears only after
   // AttachSnapshotStore (mapped/resident bytes once a generation is
   // adopted — a mincore scan refreshed per render, -1 where unsupported);
@@ -224,7 +213,7 @@ class AnnotationService {
     RequestContext rc;
     std::promise<AnnotationResult> promise;
     // Enqueue time on the service clock; the dequeue sojourn derived from
-    // it feeds both the CoDel controller and the result's queue_us.
+    // it is the result's queue_us.
     int64_t enqueue_us = 0;
   };
 
@@ -256,7 +245,7 @@ class AnnotationService {
   // Caller holds reload_mu_.
   void AdoptGeneration(std::shared_ptr<const store::LoadedSnapshot> gen);
   void CountCompletion(RequestStatus status);
-  // Feeds the rolling latency window + SLO monitor and, when the global
+  // Feeds the rolling latency/SLO window and, when the global
   // FlightRecorder is armed and triggers, emits this request's stage
   // breakdown as one JSON line.
   void ObserveCompletion(const table::Table& table, const RequestContext& rc,
@@ -264,12 +253,8 @@ class AnnotationService {
 
   core::KgLinkAnnotator* annotator_;
   ServiceOptions options_;
-  // Sliding-window latency stats and SLO burn tracking (HealthJson).
-  std::unique_ptr<obs::RollingWindow> latency_window_;
-  std::unique_ptr<obs::SloMonitor> slo_;
-  // Sojourn-based admission control (fed on every dequeue, so HealthJson
-  // shows the sojourn estimate in static mode too).
-  std::unique_ptr<CodelAdmissionController> codel_;
+  // Sliding-window latency stats and SLO burn (HealthJson).
+  obs::RollingWindow latency_window_;
   // Lent to every request through RequestContext::retry_budget; null when
   // options_.retry_budget_per_second is 0.
   std::unique_ptr<robust::RetryBudget> retry_budget_;

@@ -100,7 +100,8 @@ struct BatchResult {
 // Submits `count` zipf-picked requests from a single thread (stream keys —
 // and with them the per-request fault streams — follow submission order),
 // then folds every result into a checksum. Byte-identical per seed when
-// the service runs with static admission.
+// the service's max_queue holds all `count` requests, so no admission
+// decision depends on timing.
 BatchResult RunBatch(AnnotationService& service,
                      const std::vector<const table::Table*>& tables,
                      int count, const LoadgenOptions& options);

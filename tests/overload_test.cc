@@ -1,7 +1,6 @@
-// Overload-control unit tests under a virtual clock: the CoDel admission
-// controller's episode/control-law behavior, the retry budget (token
-// bucket + WithRetry / TableOpContext integration through a borrowed
-// RequestContext pointer), ServiceOptions validation clamps, and
+// Overload-control unit tests under a virtual clock: the retry budget
+// (token bucket + WithRetry / TableOpContext integration through a
+// borrowed RequestContext pointer), ServiceOptions validation clamps, and
 // deadline-aware latency-fault truncation.
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include "robust/retry.h"
 #include "robust/retry_budget.h"
 #include "serve/annotation_service.h"
-#include "serve/overload.h"
 #include "util/deadline.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -26,91 +24,6 @@ struct VClock {
     return [this] { return now_us; };
   }
 };
-
-// --- CoDel admission ----------------------------------------------------
-
-TEST(CodelAdmissionTest, NoShedWhileSojournBelowTarget) {
-  VClock clock;
-  CodelOptions o;
-  o.target_us = 5'000;
-  o.interval_us = 100'000;
-  CodelAdmissionController codel(o, clock.fn());
-  for (int i = 0; i < 50; ++i) {
-    codel.OnDequeue(1'000);
-    clock.now_us += 10'000;
-    EXPECT_FALSE(codel.ShouldShed());
-  }
-  EXPECT_FALSE(codel.overloaded());
-  EXPECT_EQ(codel.sheds(), 0);
-}
-
-TEST(CodelAdmissionTest, SustainedAboveTargetEntersOverloadAfterInterval) {
-  VClock clock;
-  CodelOptions o;
-  o.target_us = 5'000;
-  o.interval_us = 100'000;
-  CodelAdmissionController codel(o, clock.fn());
-
-  // Above-target sojourns, but the interval has not elapsed yet: no shed.
-  codel.OnDequeue(10'000);
-  EXPECT_FALSE(codel.ShouldShed());
-  clock.now_us += 50'000;
-  codel.OnDequeue(12'000);
-  EXPECT_FALSE(codel.ShouldShed());
-
-  // A full interval above target: the next dequeue flips to overloaded
-  // and arrivals start shedding.
-  clock.now_us += 60'000;
-  codel.OnDequeue(15'000);
-  EXPECT_TRUE(codel.overloaded());
-  EXPECT_TRUE(codel.ShouldShed());
-  EXPECT_EQ(codel.sheds(), 1);
-
-  // The control law paces further sheds at interval/sqrt(count): the very
-  // next arrival at the same instant is not shed.
-  EXPECT_FALSE(codel.ShouldShed());
-  clock.now_us += o.interval_us;  // >= interval/sqrt(2)
-  EXPECT_TRUE(codel.ShouldShed());
-}
-
-TEST(CodelAdmissionTest, SubTargetSojournExitsTheEpisode) {
-  VClock clock;
-  CodelOptions o;
-  o.target_us = 5'000;
-  o.interval_us = 100'000;
-  CodelAdmissionController codel(o, clock.fn());
-  codel.OnDequeue(10'000);
-  clock.now_us += o.interval_us + 1;
-  codel.OnDequeue(10'000);
-  EXPECT_TRUE(codel.overloaded());
-
-  // One good dequeue ends the episode; no more shedding.
-  codel.OnDequeue(1'000);
-  EXPECT_FALSE(codel.overloaded());
-  clock.now_us += 10 * o.interval_us;
-  EXPECT_FALSE(codel.ShouldShed());
-}
-
-TEST(CodelAdmissionTest, EwmaTracksSojournAndJsonHasFields) {
-  VClock clock;
-  CodelAdmissionController codel(CodelOptions{}, clock.fn());
-  codel.OnDequeue(8'000);
-  EXPECT_EQ(codel.sojourn_ewma_us(), 8'000);
-  codel.OnDequeue(16'000);
-  EXPECT_GT(codel.sojourn_ewma_us(), 8'000);
-  EXPECT_LT(codel.sojourn_ewma_us(), 16'000);
-  std::string json = codel.SnapshotJsonFields();
-  EXPECT_NE(json.find("\"sojourn_ewma_us\""), std::string::npos);
-  EXPECT_NE(json.find("\"sheds\""), std::string::npos);
-}
-
-TEST(CodelAdmissionTest, ModeNamesRoundTrip) {
-  EXPECT_STREQ(AdmissionModeName(AdmissionMode::kStatic), "static");
-  EXPECT_STREQ(AdmissionModeName(AdmissionMode::kCodel), "codel");
-  EXPECT_EQ(AdmissionModeFromName("codel"), AdmissionMode::kCodel);
-  EXPECT_EQ(AdmissionModeFromName("static"), AdmissionMode::kStatic);
-  EXPECT_FALSE(AdmissionModeFromName("bogus").has_value());
-}
 
 // --- Retry budget -------------------------------------------------------
 
@@ -236,25 +149,14 @@ TEST(ValidatedServiceOptionsTest, ClampsNonsenseToSaneValues) {
   o.num_threads = 0;
   o.max_queue = -5;
   o.default_deadline_us = -1;
-  o.codel.target_us = 0;
-  o.codel.interval_us = -7;
+  o.encode_batch = 0;
   o.retry_budget_per_second = -3.0;
   ServiceOptions v = ValidatedServiceOptions(o);
-  const ServiceOptions defaults;
   EXPECT_EQ(v.num_threads, 1);
   EXPECT_EQ(v.max_queue, 1);
+  EXPECT_EQ(v.encode_batch, 1);
   EXPECT_EQ(v.default_deadline_us, 0);
-  EXPECT_EQ(v.codel.target_us, defaults.codel.target_us);
-  EXPECT_GE(v.codel.interval_us, v.codel.target_us);
   EXPECT_EQ(v.retry_budget_per_second, 0.0);
-}
-
-TEST(ValidatedServiceOptionsTest, IntervalShorterThanTargetIsRaised) {
-  ServiceOptions o;
-  o.codel.target_us = 50'000;
-  o.codel.interval_us = 10'000;
-  ServiceOptions v = ValidatedServiceOptions(o);
-  EXPECT_EQ(v.codel.interval_us, v.codel.target_us);
 }
 
 // --- Deadline-aware latency faults --------------------------------------

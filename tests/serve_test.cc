@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <future>
 #include <string>
 #include <thread>
@@ -318,7 +319,7 @@ TEST_F(ServeTest, HealthJsonReflectsServiceState) {
   const std::vector<std::string> expected = {
       "accepting", "threads",      "queue_depth", "max_queue",
       "inflight",  "completed",    "window",      "slo",
-      "admission", "retry_budget", "cell_cache",  "profile"};
+      "retry_budget", "cell_cache", "profile"};
   EXPECT_EQ(keys, expected) << health;
   // The SLO burn windows are fixed at 10 s (short) and 60 s (long).
   const obs::JsonValue* slo = doc->Find("slo");
@@ -369,9 +370,13 @@ TEST_F(ServeTest, StageTelemetrySumsWithinEndToEndLatency) {
 }
 
 TEST_F(ServeTest, HealthJsonReportsWindowedLatencyAndSloBurn) {
+  // A virtual clock drives the window's rotation (and queue sojourn);
+  // work time is still measured on the real clock.
+  std::atomic<int64_t> now{0};
   ServiceOptions so;
   so.num_threads = 1;
   so.slo_target_us = 1;  // everything violates: the burn path must light up
+  so.clock = [&now] { return now.load(); };
   AnnotationService service(annotator_, so);
   for (int i = 0; i < 4; ++i) {
     service.Submit(TestTable(static_cast<size_t>(i))).get();
@@ -392,6 +397,31 @@ TEST_F(ServeTest, HealthJsonReportsWindowedLatencyAndSloBurn) {
   ASSERT_NE(short_window, nullptr);
   EXPECT_DOUBLE_EQ(short_window->NumberOr("violations", -1.0), 4.0);
   EXPECT_GT(short_window->NumberOr("burn_rate", 0.0), 1.0);
+  // "window" and "slo" are rendered from one snapshot: they agree.
+  EXPECT_DOUBLE_EQ(window->NumberOr("count", -1.0),
+                   short_window->NumberOr("total", -2.0));
+
+  // Counts of {window.count, slo.short.total, slo.long.total} per render.
+  // Empty when a section is missing.
+  auto counts = [&service]() -> std::vector<double> {
+    auto d = obs::ParseJson(service.HealthJson());
+    const obs::JsonValue* w = d.has_value() ? d->Find("window") : nullptr;
+    const obs::JsonValue* s = d.has_value() ? d->Find("slo") : nullptr;
+    if (w == nullptr || s == nullptr || s->Find("short") == nullptr ||
+        s->Find("long") == nullptr) {
+      return {};
+    }
+    return {w->NumberOr("count", -1.0),
+            s->Find("short")->NumberOr("total", -1.0),
+            s->Find("long")->NumberOr("total", -1.0)};
+  };
+  // 11 s later the short window has forgotten the burst; the long one
+  // still counts it.
+  now = 11'000'000;
+  EXPECT_EQ(counts(), (std::vector<double>{0.0, 0.0, 4.0}));
+  // 61 s later both windows are empty.
+  now = 61'000'000;
+  EXPECT_EQ(counts(), (std::vector<double>{0.0, 0.0, 0.0}));
 }
 
 TEST_F(ServeTest, FlightRecorderCapturesInducedSlowRequest) {
@@ -431,7 +461,7 @@ TEST_F(ServeTest, FlightRecorderCapturesInducedSlowRequest) {
   EXPECT_GE(stages->NumberOr("topk_us", -1.0), 0.0);  // present
 }
 
-// --- Overload control: CoDel admission and the retry budget --------------
+// --- Overload control: the max_queue bound and the retry budget ----------
 
 TEST_F(ServeTest, QueueDepthStaysBoundedUnderSustainedSubmit) {
   // One worker pinned by 2ms-per-retrieval latency faults while the caller
@@ -445,9 +475,6 @@ TEST_F(ServeTest, QueueDepthStaysBoundedUnderSustainedSubmit) {
   ServiceOptions so;
   so.num_threads = 1;
   so.max_queue = 4;
-  so.admission = AdmissionMode::kCodel;
-  so.codel.target_us = 1'000;
-  so.codel.interval_us = 10'000;
   AnnotationService service(annotator_, so);
 
   constexpr int kRequests = 40;
