@@ -206,7 +206,15 @@ void InitObservabilityFromEnv() {
       std::atexit(ExportObservabilityAtExit);
     }
     const char* heap = std::getenv("KGLINK_HEAP_PROFILE");
-    if (heap != nullptr && heap[0] != '\0' && std::atoi(heap) != 0) {
+    int heap_on = 0;
+    if (heap != nullptr && heap[0] != '\0' &&
+        !ParseNonNegativeInt(std::string_view(heap), &heap_on)) {
+      std::fprintf(stderr,
+                   "ignoring bad KGLINK_HEAP_PROFILE '%s': heap profiler "
+                   "stays off\n",
+                   heap);
+    }
+    if (heap_on != 0) {
       if (obs::kHeapProfilerCompiledIn) {
         obs::HeapProfiler::Global().Enable({});
       } else {

@@ -168,6 +168,8 @@ void BM_EncoderForward(benchmark::State& state) {
   std::vector<int> tokens(static_cast<size_t>(state.range(0)));
   Rng rng(2);
   for (auto& t : tokens) t = static_cast<int>(rng.Uniform(6000));
+  // Inference as the annotator serves it: no autograd tape.
+  nn::NoGradGuard no_grad;
   auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     benchmark::DoNotOptimize(encoder.Forward(tokens, rng, false));
@@ -210,6 +212,7 @@ void BM_EncoderForwardBatched(benchmark::State& state) {
   for (int i = 0; i < batch; ++i) {
     items[static_cast<size_t>(i)].token_ids = &sequences[static_cast<size_t>(i)];
   }
+  nn::NoGradGuard no_grad;  // as in BM_EncoderForward
   for (auto _ : state) {
     benchmark::DoNotOptimize(encoder.ForwardBatch(items, rng, false));
   }

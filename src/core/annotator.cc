@@ -219,6 +219,7 @@ std::vector<AnnotateOutcome> KgLinkAnnotator::AnnotateBatch(
   // Phase 2: one padded masked forward per segment-presence bucket
   // (ForwardBatch requires every item in a batch to agree on segments).
   Stopwatch forward_watch;
+  nn::NoGradGuard no_grad;  // serving inference: no tape (see nn/tensor.h)
   for (int want_segments = 0; want_segments < 2; ++want_segments) {
     std::vector<nn::EncoderBatchItem> items;
     std::vector<EncodeJob*> bucket;
@@ -317,6 +318,8 @@ void KgLinkAnnotator::BuildVocabulary(
 Status KgLinkAnnotator::EvalForward(
     const PreparedTable& prepared, std::vector<int>* predictions,
     std::vector<std::vector<float>>* logits_out, const EncodeFn* encode) {
+  // Encode, FeatureVector, Compose and Classify all run without a tape.
+  nn::NoGradGuard no_grad;
   if (predictions != nullptr) {
     predictions->assign(prepared.processed.columns.size(), 0);
   }
@@ -478,8 +481,14 @@ double KgLinkAnnotator::ForwardTable(
       // ----- column-type representation generation (DMLM) -----
       const SerializedTable& gt_chunk = gt_chunks[chunk_i];
       // Teacher encoding without dropout: a stable distillation target.
-      nn::Tensor gt_hidden = model_->Encode(
-          gt_chunk.tokens, gt_chunk.segments, *rng_, /*training=*/false);
+      // DmlmLoss detaches the teacher, so the teacher side records no tape
+      // (the gradients are the same with or without one).
+      nn::Tensor gt_hidden;
+      {
+        nn::NoGradGuard no_grad;
+        gt_hidden = model_->Encode(gt_chunk.tokens, gt_chunk.segments, *rng_,
+                                   /*training=*/false);
+      }
       std::vector<int> msk_pos;
       std::vector<int> gt_pos;
       for (size_t j = 0; j < chunk.columns.size(); ++j) {
@@ -507,8 +516,11 @@ double KgLinkAnnotator::ForwardTable(
       } else {
         nn::Tensor msk_logits =
             model_->ProjectToVocab(nn::Rows(hidden, msk_pos));
-        nn::Tensor gt_logits =
-            model_->ProjectToVocab(nn::Rows(gt_hidden, gt_pos));
+        nn::Tensor gt_logits;
+        {
+          nn::NoGradGuard no_grad;  // teacher side, see above
+          gt_logits = model_->ProjectToVocab(nn::Rows(gt_hidden, gt_pos));
+        }
         nn::Tensor dmlm =
             nn::DmlmLoss(msk_logits, gt_logits, options_.dmlm_temperature);
         total = model_->uncertainty_loss().Combine(dmlm, ce);

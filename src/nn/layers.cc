@@ -135,7 +135,12 @@ Tensor TransformerLayer::ForwardPadded(const Tensor& x,
   Tensor f;
   {
     KGLINK_SCOPE("ffn");
-    f = ff2_.Forward(Gelu(ff1_.Forward(ln2_.Forward(h))));
+    f = ff1_.Forward(ln2_.Forward(h));
+    {
+      KGLINK_SCOPE("ffn.gelu");
+      f = Gelu(f);
+    }
+    f = ff2_.Forward(f);
   }
   return Add(h, Dropout(f, dropout_, rng, training));
 }

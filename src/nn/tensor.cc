@@ -22,6 +22,20 @@ namespace {
 
 std::atomic<uint64_t> g_seq{0};
 
+// Set while a NoGradGuard is alive on this thread.
+thread_local bool t_no_grad = false;
+
+// Whether an op over `parents` records a tape: some parent requires grad
+// and no NoGradGuard is alive on this thread. Ops that keep buffers only
+// their backward reads ask this before allocating them.
+bool NeedsGrad(std::initializer_list<Tensor> parents) {
+  if (t_no_grad) return false;
+  for (const Tensor& p : parents) {
+    if (p.requires_grad()) return true;
+  }
+  return false;
+}
+
 std::shared_ptr<TensorImpl> NewImpl(std::vector<int> shape,
                                     std::vector<float> data) {
   auto impl = std::make_shared<TensorImpl>();
@@ -32,15 +46,14 @@ std::shared_ptr<TensorImpl> NewImpl(std::vector<int> shape,
   return impl;
 }
 
-// Creates the output node of an op; requires_grad if any parent does.
+// Creates the output node of an op; it requires grad, and links its
+// parents, exactly when NeedsGrad(parents).
 std::shared_ptr<TensorImpl> NewOutput(
     std::vector<int> shape, std::vector<float> data,
     std::initializer_list<Tensor> parents) {
   auto impl = NewImpl(std::move(shape), std::move(data));
-  for (const Tensor& p : parents) {
-    if (p.requires_grad()) impl->requires_grad = true;
-  }
-  if (impl->requires_grad) {
+  if (NeedsGrad(parents)) {
+    impl->requires_grad = true;
     for (const Tensor& p : parents) impl->parents.push_back(p.impl());
   }
   return impl;
@@ -103,7 +116,9 @@ constexpr float kExpP4 = 1.6666665459e-1f;
 constexpr float kExpP5 = 5.0000001201e-1f;
 
 inline float FastExp(float x) {
-  x = std::max(x, kExpLo);
+  // Clamp operand order as in _mm256_max_ps(x, lo): a NaN maps to kExpLo
+  // in both forms instead of reaching the float-to-int cast below.
+  x = std::max(kExpLo, x);
   float z = std::floor(kExpLog2e * x + 0.5f);
   x = x - z * kExpC1;
   x = x - z * kExpC2;
@@ -220,6 +235,14 @@ void RowSoftmaxScaled(const float* x, float* out, int rows, int cols,
 }
 
 }  // namespace
+
+// ----- NoGradGuard -----
+
+NoGradGuard::NoGradGuard() : prev_(t_no_grad) { t_no_grad = true; }
+
+NoGradGuard::~NoGradGuard() { t_no_grad = prev_; }
+
+bool NoGradGuard::Active() { return t_no_grad; }
 
 // ----- Tensor -----
 
@@ -521,22 +544,136 @@ Tensor Sigmoid(const Tensor& a) {
       [](float, float y) { return y * (1.0f - y); });
 }
 
+// ----- GELU -----
+//
+// gelu(x) = 0.5x(1 + tanh(u)) = x * sigmoid(2u), u = kC(x + kA x^3). With
+// e = FastExp(-2|u|) in (0, 1] (inside FastExp's non-positive domain):
+//   sigmoid(2u) = 1/(1+e), 1 - sigmoid(2u) = e/(1+e)   for u >= 0,
+//   sigmoid(2u) = e/(1+e), 1 - sigmoid(2u) = 1/(1+e)   for u < 0.
+// The AVX2 forms below replay the scalar operation sequence lane by lane;
+// with this TU at -ffp-contract=off and div/max/abs/blend all exact, the
+// two paths are bit-identical.
+
+namespace {
+
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+constexpr float kGeluA = 0.044715f;
+constexpr float kGelu3A = 3.0f * kGeluA;
+
+inline float GeluU(float x) { return kGeluC * (x + kGeluA * x * x * x); }
+
+inline float GeluOne(float x) {
+  const float u = GeluU(x);
+  const float e = FastExp(-2.0f * std::fabs(u));
+  return (u >= 0.0f ? x : x * e) / (1.0f + e);
+}
+
+inline float GeluGradOne(float x) {
+  const float u = GeluU(x);
+  const float e = FastExp(-2.0f * std::fabs(u));
+  const float d = 1.0f + e;
+  const float s = (u >= 0.0f ? 1.0f : e) / d;
+  const float t = (u >= 0.0f ? e : 1.0f) / d;  // 1 - s
+  return s + 2.0f * x * s * t * kGeluC * (1.0f + kGelu3A * x * x);
+}
+
+#ifdef KGLINK_SOFTMAX_AVX2
+
+// Lane-wise GeluU, exp term and u >= 0 mask.
+inline void GeluParts8(__m256 x, __m256* e, __m256* pos) {
+  __m256 u = _mm256_mul_ps(_mm256_set1_ps(kGeluA), x);
+  u = _mm256_mul_ps(u, x);
+  u = _mm256_mul_ps(u, x);
+  u = _mm256_mul_ps(_mm256_set1_ps(kGeluC), _mm256_add_ps(x, u));
+  const __m256 abs_u = _mm256_andnot_ps(_mm256_set1_ps(-0.0f), u);
+  *e = FastExp8(_mm256_mul_ps(_mm256_set1_ps(-2.0f), abs_u));
+  *pos = _mm256_cmp_ps(u, _mm256_setzero_ps(), _CMP_GE_OQ);
+}
+
+inline __m256 GeluOne8(__m256 x) {
+  __m256 e, pos;
+  GeluParts8(x, &e, &pos);
+  const __m256 num = _mm256_blendv_ps(_mm256_mul_ps(x, e), x, pos);
+  return _mm256_div_ps(num, _mm256_add_ps(_mm256_set1_ps(1.0f), e));
+}
+
+inline __m256 GeluGradOne8(__m256 x) {
+  __m256 e, pos;
+  GeluParts8(x, &e, &pos);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 d = _mm256_add_ps(one, e);
+  const __m256 s = _mm256_div_ps(_mm256_blendv_ps(e, one, pos), d);
+  const __m256 t = _mm256_div_ps(_mm256_blendv_ps(one, e, pos), d);
+  __m256 g = _mm256_mul_ps(_mm256_set1_ps(2.0f), x);
+  g = _mm256_mul_ps(g, s);
+  g = _mm256_mul_ps(g, t);
+  g = _mm256_mul_ps(g, _mm256_set1_ps(kGeluC));
+  __m256 poly = _mm256_mul_ps(_mm256_set1_ps(kGelu3A), x);
+  poly = _mm256_add_ps(one, _mm256_mul_ps(poly, x));
+  return _mm256_add_ps(s, _mm256_mul_ps(g, poly));
+}
+
+#endif  // KGLINK_SOFTMAX_AVX2
+
+}  // namespace
+
+namespace kernels {
+
+void GeluForward(const float* x, float* y, size_t n, bool simd) {
+  size_t i = 0;
+#ifdef KGLINK_SOFTMAX_AVX2
+  if (simd) {
+    for (; i + 8 <= n; i += 8) {
+      _mm256_storeu_ps(y + i, GeluOne8(_mm256_loadu_ps(x + i)));
+    }
+  }
+#else
+  (void)simd;
+#endif
+  for (; i < n; ++i) y[i] = GeluOne(x[i]);
+}
+
+void GeluBackward(const float* x, const float* gy, float* gx, size_t n,
+                  bool simd) {
+  size_t i = 0;
+#ifdef KGLINK_SOFTMAX_AVX2
+  if (simd) {
+    for (; i + 8 <= n; i += 8) {
+      const __m256 g = _mm256_mul_ps(_mm256_loadu_ps(gy + i),
+                                     GeluGradOne8(_mm256_loadu_ps(x + i)));
+      _mm256_storeu_ps(gx + i, _mm256_add_ps(_mm256_loadu_ps(gx + i), g));
+    }
+  }
+#else
+  (void)simd;
+#endif
+  for (; i < n; ++i) gx[i] += gy[i] * GeluGradOne(x[i]);
+}
+
+bool GeluHasSimd() {
+#ifdef KGLINK_SOFTMAX_AVX2
+  return true;
+#else
+  return false;
+#endif
+}
+
+}  // namespace kernels
+
 Tensor Gelu(const Tensor& a) {
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  constexpr float kA = 0.044715f;
-  return UnaryOp(
-      a,
-      [](float x) {
-        float inner = kC * (x + kA * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(inner));
-      },
-      [](float x, float) {
-        float inner = kC * (x + kA * x * x * x);
-        float t = std::tanh(inner);
-        float sech2 = 1.0f - t * t;
-        return 0.5f * (1.0f + t) +
-               0.5f * x * sech2 * kC * (1.0f + 3.0f * kA * x * x);
-      });
+  std::vector<float> data(a.data().size());
+  kernels::GeluForward(a.data().data(), data.data(), data.size());
+  auto out = NewOutput(a.shape(), std::move(data), {a});
+  if (out->requires_grad) {
+    auto ai = a.impl();
+    TensorImpl* o = out.get();
+    out->backward = [ai, o] {
+      ai->EnsureGrad();
+      kernels::GeluBackward(ai->data.data(), o->grad.data(), ai->grad.data(),
+                            o->grad.size());
+    };
+  }
+  return Tensor(std::move(out));
 }
 
 Tensor Softmax(const Tensor& a) {
@@ -592,9 +729,12 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   auto [m, n] = RowsCols(x);
   KGLINK_CHECK_EQ(static_cast<int64_t>(n), gamma.numel());
   KGLINK_CHECK_EQ(static_cast<int64_t>(n), beta.numel());
+  // xhat and inv_std feed only the backward; without a tape each row's
+  // normalized values are formed and consumed in place.
+  const bool keep = NeedsGrad({x, gamma, beta});
   std::vector<float> data(x.data().size());
-  std::vector<float> xhat(x.data().size());
-  std::vector<float> inv_std(m);
+  std::vector<float> xhat(keep ? x.data().size() : 0);
+  std::vector<float> inv_std(keep ? m : 0);
   for (int i = 0; i < m; ++i) {
     const float* xr = x.data().data() + static_cast<size_t>(i) * n;
     float mean = 0.0f;
@@ -604,12 +744,19 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
     for (int j = 0; j < n; ++j) var += (xr[j] - mean) * (xr[j] - mean);
     var /= n;
     float is = 1.0f / std::sqrt(var + eps);
-    inv_std[i] = is;
-    float* xh = xhat.data() + static_cast<size_t>(i) * n;
     float* yr = data.data() + static_cast<size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      xh[j] = (xr[j] - mean) * is;
-      yr[j] = gamma.data()[j] * xh[j] + beta.data()[j];
+    if (keep) {
+      inv_std[i] = is;
+      float* xh = xhat.data() + static_cast<size_t>(i) * n;
+      for (int j = 0; j < n; ++j) {
+        xh[j] = (xr[j] - mean) * is;
+        yr[j] = gamma.data()[j] * xh[j] + beta.data()[j];
+      }
+    } else {
+      for (int j = 0; j < n; ++j) {
+        const float xh = (xr[j] - mean) * is;
+        yr[j] = gamma.data()[j] * xh + beta.data()[j];
+      }
     }
   }
   auto out = NewOutput(x.shape(), std::move(data), {x, gamma, beta});
@@ -777,7 +924,7 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
   for (const auto& p : parts) {
     KGLINK_CHECK_EQ(p.rows(), m);
     total += p.cols();
-    needs_grad = needs_grad || p.requires_grad();
+    needs_grad = needs_grad || NeedsGrad({p});
   }
   std::vector<float> data(static_cast<size_t>(m) * total);
   int off = 0;
@@ -829,7 +976,7 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
   for (const auto& p : parts) {
     KGLINK_CHECK_EQ(p.cols(), n);
     total += p.rows();
-    needs_grad = needs_grad || p.requires_grad();
+    needs_grad = needs_grad || NeedsGrad({p});
   }
   std::vector<float> data;
   data.reserve(static_cast<size_t>(total) * n);
@@ -986,16 +1133,22 @@ Tensor MaskedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
   probs_total *= static_cast<size_t>(num_heads);
 
   // The attention probabilities are the only forward intermediate the
-  // backward pass cannot cheaply recompute; one flat buffer holds every
-  // (block, head) slab in iteration order. The packed q/k/v head blocks
-  // are re-gathered from the parents' data on the backward pass instead.
-  auto probs_store = std::make_shared<std::vector<float>>(probs_total);
+  // backward pass cannot cheaply recompute; with a tape, one flat buffer
+  // holds every (block, head) slab in iteration order. Without one, each
+  // slab is consumed at once and a single len x len scratch is reused.
+  // The packed q/k/v head blocks are re-gathered from the parents' data on
+  // the backward pass instead.
+  const bool keep_probs = NeedsGrad({q, k, v});
+  std::shared_ptr<std::vector<float>> probs_store;
+  if (keep_probs) {
+    probs_store = std::make_shared<std::vector<float>>(probs_total);
+  }
 
   // Padded rows stay zero: a padded query row depends on nothing, and the
   // packing below never reads a padded key/value row — the softmax runs
   // over exactly the valid prefix, which is the mask.
   std::vector<float> out_data(static_cast<size_t>(total_rows) * dim, 0.0f);
-  std::vector<float> qh, kht, vh, scores, head;
+  std::vector<float> qh, kht, vh, scores, head, probs_scratch;
   size_t probs_off = 0;
   for (int b = 0; b < batch; ++b) {
     const int len = seq_lens[b];
@@ -1011,7 +1164,13 @@ Tensor MaskedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
       PackHead(v.data().data(), base, len, dim, c0, hd, vh.data());
       scores.assign(l2, 0.0f);
       gemm::GemmAcc(qh.data(), kht.data(), scores.data(), len, hd, len);
-      float* probs = probs_store->data() + probs_off;
+      float* probs;
+      if (keep_probs) {
+        probs = probs_store->data() + probs_off;
+      } else {
+        probs_scratch.resize(l2);
+        probs = probs_scratch.data();
+      }
       // Scale folds into the softmax kernel (same single multiply per
       // element the composed Scale op performs), one exp per score.
       RowSoftmaxScaled(scores.data(), probs, len, len, scale);

@@ -7,11 +7,15 @@
 //    functions that record a backward closure on the output node; calling
 //    Backward() on a scalar runs the tape in reverse topological order.
 //  - Gradients are accumulated (+=) so a node used twice gets the sum.
-//  - Ops skip closure creation entirely when no input requires gradients,
-//    which makes inference tape-free.
+//  - Ops skip closure creation entirely when no input requires gradients.
+//    Model parameters always require gradients, so a forward over them
+//    records a tape unless a NoGradGuard is alive on the calling thread:
+//    serving inference holds one (core::KgLinkAnnotator's eval paths),
+//    training forwards never do.
 #ifndef KGLINK_NN_TENSOR_H_
 #define KGLINK_NN_TENSOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -102,6 +106,26 @@ class Tensor {
   std::shared_ptr<TensorImpl> impl_;
 };
 
+// RAII no-grad scope over a thread-local flag. While one is alive on this
+// thread, op outputs never require gradients, so no op records parents or
+// a backward closure, and ops keep no buffer that only backward reads.
+// Outputs are bit-identical to the same ops run with the tape. Nested
+// guards restore the enclosing value on exit; other threads (a concurrent
+// training loop) are unaffected.
+class NoGradGuard {
+ public:
+  NoGradGuard();
+  ~NoGradGuard();
+  NoGradGuard(const NoGradGuard&) = delete;
+  NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+  // True while a guard is alive on the calling thread.
+  static bool Active();
+
+ private:
+  bool prev_;
+};
+
 // ----- elementwise & linear algebra -----
 
 // C[m,n] = A[m,k] * B[k,n].
@@ -118,7 +142,10 @@ Tensor Transpose(const Tensor& a);
 // ----- nonlinearities -----
 Tensor Exp(const Tensor& a);
 Tensor Relu(const Tensor& a);
-Tensor Gelu(const Tensor& a);   // tanh approximation
+// Tanh-approximation GELU, 0.5x(1 + tanh(u)) with u = sqrt(2/pi)(x +
+// 0.044715x^3), evaluated in the equal sigmoid form x * sigmoid(2u) through
+// the polynomial exp the softmax uses (see kernels::GeluForward).
+Tensor Gelu(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 
@@ -177,6 +204,28 @@ Tensor Reshape(const Tensor& x, std::vector<int> shape);
 Tensor MaskedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                        int num_heads, float scale,
                        const std::vector<int>& seq_lens, int pad_len);
+
+// ----- kernels behind the ops, exposed for their parity tests -----
+
+namespace kernels {
+
+// y[i] = gelu(x[i]). With e = exp(-2|u|) <= 1 from the polynomial exp,
+// gelu(x) = x / (1 + e) for u >= 0 and x * e / (1 + e) for u < 0, which
+// avoids the cancellation in 1 + tanh(u) for negative u. On [-12, 12] it
+// is within 7e-7 absolute of a double-precision evaluation of the same
+// formula, and GeluBackward within 3e-7 (tests/tensor_test.cc pins both;
+// measured 5.2e-7 and 1.8e-7, against 4.3e-7 and 5.6e-7 for std::tanh).
+// `simd` picks the AVX2 path where it is compiled in; it evaluates the
+// scalar operation sequence lane by lane, so both paths are bit-identical.
+void GeluForward(const float* x, float* y, size_t n, bool simd = true);
+// gx[i] += gy[i] * gelu'(x[i]), where gelu'(x) = s + 2x s (1 - s) C (1 +
+// 3 A x^2) with s = sigmoid(2u); s and 1 - s both come straight from e.
+void GeluBackward(const float* x, const float* gy, float* gx, size_t n,
+                  bool simd = true);
+// True when GeluForward/GeluBackward have an AVX2 path in this build.
+bool GeluHasSimd();
+
+}  // namespace kernels
 
 // ----- losses (scalar outputs) -----
 

@@ -70,12 +70,16 @@ bool LooksLikeNumber(std::string_view s);
 bool ParseDouble(std::string_view s, double* out);
 
 // Parses s as an exact non-negative decimal integer: digits only (no sign,
-// fraction, exponent or surrounding text) and in T's range.
+// fraction, exponent or surrounding text) and in T's range. *out is left
+// untouched on failure (a "1x" does not leave 1 behind).
 template <typename T>
 bool ParseNonNegativeInt(std::string_view s, T* out) {
   if (s.empty() || s[0] < '0' || s[0] > '9') return false;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
+  T v{};
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size()) return false;
+  *out = v;
+  return true;
 }
 
 // Parses s as a finite double over the whole field (std::from_chars

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <thread>
 
 #include "nn/checkpoint.h"
 #include "nn/tensor.h"
@@ -170,6 +172,83 @@ TEST(EncoderTest, TruncatesOverlongSequenceInsteadOfAborting) {
     EXPECT_EQ(full.data()[static_cast<size_t>(i)],
               prefix.data()[static_cast<size_t>(i)]);
   }
+}
+
+// ----- NoGradGuard over the encoder -----
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(float)) == 0;
+}
+
+TEST(EncoderNoGradTest, ForwardIsBitIdenticalUnderGuard) {
+  Rng init_rng(21);
+  TransformerEncoder enc(SmallConfig(), init_rng);
+  const std::vector<int> tokens = {3, 1, 4, 1, 5, 9, 2, 6};
+  const std::vector<int> segments = {0, 0, 1, 1, 1, 2, 2, 2};
+  Rng r1(1);
+  Tensor taped = enc.Forward(tokens, segments, r1, /*training=*/false);
+  ASSERT_TRUE(taped.requires_grad());
+  NoGradGuard no_grad;
+  Rng r2(1);
+  Tensor free = enc.Forward(tokens, segments, r2, /*training=*/false);
+  EXPECT_FALSE(free.requires_grad());
+  EXPECT_TRUE(BitEqual(taped, free));
+}
+
+TEST(EncoderNoGradTest, ForwardBatchIsBitIdenticalUnderGuard) {
+  Rng init_rng(22);
+  TransformerEncoder enc(SmallConfig(), init_rng);
+  const std::vector<int> a = {1, 2, 3, 4, 5, 6, 7};
+  const std::vector<int> b = {8, 9};
+  const std::vector<int> c = {10, 11, 12, 13};
+  const std::vector<EncoderBatchItem> items = {{&a, nullptr},
+                                               {&b, nullptr},
+                                               {&c, nullptr}};
+  Rng r1(1);
+  std::vector<Tensor> taped = enc.ForwardBatch(items, r1, false);
+  NoGradGuard no_grad;
+  Rng r2(1);
+  std::vector<Tensor> free = enc.ForwardBatch(items, r2, false);
+  ASSERT_EQ(taped.size(), free.size());
+  for (size_t i = 0; i < taped.size(); ++i) {
+    EXPECT_TRUE(taped[i].requires_grad());
+    EXPECT_FALSE(free[i].requires_grad());
+    EXPECT_TRUE(BitEqual(taped[i], free[i])) << "item " << i;
+  }
+}
+
+// One training step's parameter gradients, in Parameters() order.
+std::vector<std::vector<float>> TrainStepGrads(const TransformerEncoder& enc) {
+  for (auto& p : enc.Parameters()) p.tensor.ZeroGrad();
+  Rng r(3);
+  Tensor y = enc.Forward({1, 2, 3, 4, 5, 6}, {0, 0, 0, 1, 1, 1}, r,
+                         /*training=*/true);
+  Mean(Mul(y, y)).Backward();
+  std::vector<std::vector<float>> grads;
+  for (auto& p : enc.Parameters()) grads.push_back(p.tensor.grad());
+  return grads;
+}
+
+TEST(EncoderNoGradTest, TrainingGradientsAreUnchangedByGuards) {
+  EncoderConfig cfg = SmallConfig();
+  cfg.dropout = 0.1f;
+  Rng init_rng(23);
+  TransformerEncoder enc(cfg, init_rng);
+  const std::vector<std::vector<float>> before = TrainStepGrads(enc);
+  {
+    // A served forward in between, under the guard...
+    NoGradGuard no_grad;
+    Rng r(4);
+    (void)enc.Forward({7, 8, 9}, r, /*training=*/false);
+    // ...and a training step on another thread while it is held.
+    std::vector<std::vector<float>> concurrent;
+    std::thread fit([&] { concurrent = TrainStepGrads(enc); });
+    fit.join();
+    EXPECT_EQ(concurrent, before);
+  }
+  EXPECT_EQ(TrainStepGrads(enc), before);
 }
 
 TEST(CheckpointTest, SaveLoadRoundTrip) {

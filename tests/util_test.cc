@@ -198,6 +198,19 @@ TEST(StringUtilTest, ParseFiniteDoubleTakesTheWholeField) {
   }
 }
 
+TEST(StringUtilTest, ParseNonNegativeIntTakesTheWholeField) {
+  int v = 7;
+  EXPECT_TRUE(ParseNonNegativeInt(std::string_view("42"), &v));
+  EXPECT_EQ(v, 42);
+  // A rejected field leaves the output untouched: a valid prefix ("1" of
+  // "1x") must not leak through as if it had been parsed.
+  for (const char* bad : {"1x", "", "-1", "+1", " 1", "99999999999"}) {
+    v = 7;
+    EXPECT_FALSE(ParseNonNegativeInt(std::string_view(bad), &v)) << bad;
+    EXPECT_EQ(v, 7) << bad;
+  }
+}
+
 TEST(StringUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("%.2f%%", 12.345), "12.35%");
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
