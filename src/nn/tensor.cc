@@ -13,7 +13,7 @@
 
 #if defined(__AVX2__)
 #include <immintrin.h>
-#define KGLINK_SOFTMAX_AVX2 1
+#define KGLINK_TENSOR_AVX2 1
 #endif
 
 namespace kglink::nn {
@@ -97,8 +97,9 @@ void RowLogSoftmax(const float* x, float* out, int rows, int cols) {
 // op and the fused MaskedAttention, so fused-vs-composed stays bit-equal.
 //
 // FastExp is a Cephes-style degree-5 polynomial (~1-2 ulp over the range
-// softmax feeds it: arguments are always <= 0 after the row-max subtract,
-// and the low clamp keeps 2^z in normal-float territory). The scalar and
+// softmax and GELU feed it: arguments are always <= 0, after the row-max
+// subtract or as -2|u|, and the low clamp keeps 2^z in normal-float
+// territory). The scalar and
 // AVX2 forms evaluate the identical operation sequence lane-wise, and
 // this TU is pinned -ffp-contract=off, so neither form gains an FMA the
 // other lacks — one build's softmax is bit-deterministic regardless of
@@ -138,7 +139,7 @@ inline float FastExp(float x) {
   return p * pow2z;
 }
 
-#ifdef KGLINK_SOFTMAX_AVX2
+#ifdef KGLINK_TENSOR_AVX2
 
 // Lane-wise mirror of FastExp — same operation sequence, same constants.
 inline __m256 FastExp8(__m256 x) {
@@ -178,7 +179,7 @@ inline float Sum8(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-#endif  // KGLINK_SOFTMAX_AVX2
+#endif  // KGLINK_TENSOR_AVX2
 
 // out[i][j] = softmax(scale * x[i])[j]. Folding the scale costs nothing
 // and matches the composed Scale-then-Softmax pipeline bit-for-bit: both
@@ -190,7 +191,7 @@ void RowSoftmaxScaled(const float* x, float* out, int rows, int cols,
     float* yr = out + static_cast<size_t>(i) * cols;
     float mx = -std::numeric_limits<float>::infinity();
     int j = 0;
-#ifdef KGLINK_SOFTMAX_AVX2
+#ifdef KGLINK_TENSOR_AVX2
     const __m256 vscale = _mm256_set1_ps(scale);
     __m256 vmax = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
     for (; j + 8 <= cols; j += 8) {
@@ -207,7 +208,7 @@ void RowSoftmaxScaled(const float* x, float* out, int rows, int cols,
     }
     float sum = 0.0f;
     j = 0;
-#ifdef KGLINK_SOFTMAX_AVX2
+#ifdef KGLINK_TENSOR_AVX2
     const __m256 vmx = _mm256_set1_ps(mx);
     __m256 vsum = _mm256_setzero_ps();
     for (; j + 8 <= cols; j += 8) {
@@ -224,7 +225,7 @@ void RowSoftmaxScaled(const float* x, float* out, int rows, int cols,
     }
     const float inv = 1.0f / sum;
     j = 0;
-#ifdef KGLINK_SOFTMAX_AVX2
+#ifdef KGLINK_TENSOR_AVX2
     const __m256 vinv = _mm256_set1_ps(inv);
     for (; j + 8 <= cols; j += 8) {
       _mm256_storeu_ps(yr + j, _mm256_mul_ps(_mm256_loadu_ps(yr + j), vinv));
@@ -577,7 +578,7 @@ inline float GeluGradOne(float x) {
   return s + 2.0f * x * s * t * kGeluC * (1.0f + kGelu3A * x * x);
 }
 
-#ifdef KGLINK_SOFTMAX_AVX2
+#ifdef KGLINK_TENSOR_AVX2
 
 // Lane-wise GeluU, exp term and u >= 0 mask.
 inline void GeluParts8(__m256 x, __m256* e, __m256* pos) {
@@ -613,7 +614,7 @@ inline __m256 GeluGradOne8(__m256 x) {
   return _mm256_add_ps(s, _mm256_mul_ps(g, poly));
 }
 
-#endif  // KGLINK_SOFTMAX_AVX2
+#endif  // KGLINK_TENSOR_AVX2
 
 }  // namespace
 
@@ -621,7 +622,7 @@ namespace kernels {
 
 void GeluForward(const float* x, float* y, size_t n, bool simd) {
   size_t i = 0;
-#ifdef KGLINK_SOFTMAX_AVX2
+#ifdef KGLINK_TENSOR_AVX2
   if (simd) {
     for (; i + 8 <= n; i += 8) {
       _mm256_storeu_ps(y + i, GeluOne8(_mm256_loadu_ps(x + i)));
@@ -636,7 +637,7 @@ void GeluForward(const float* x, float* y, size_t n, bool simd) {
 void GeluBackward(const float* x, const float* gy, float* gx, size_t n,
                   bool simd) {
   size_t i = 0;
-#ifdef KGLINK_SOFTMAX_AVX2
+#ifdef KGLINK_TENSOR_AVX2
   if (simd) {
     for (; i + 8 <= n; i += 8) {
       const __m256 g = _mm256_mul_ps(_mm256_loadu_ps(gy + i),
@@ -651,7 +652,7 @@ void GeluBackward(const float* x, const float* gy, float* gx, size_t n,
 }
 
 bool GeluHasSimd() {
-#ifdef KGLINK_SOFTMAX_AVX2
+#ifdef KGLINK_TENSOR_AVX2
   return true;
 #else
   return false;
