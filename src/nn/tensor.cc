@@ -651,14 +651,6 @@ void GeluBackward(const float* x, const float* gy, float* gx, size_t n,
   for (; i < n; ++i) gx[i] += gy[i] * GeluGradOne(x[i]);
 }
 
-bool GeluHasSimd() {
-#ifdef KGLINK_TENSOR_AVX2
-  return true;
-#else
-  return false;
-#endif
-}
-
 }  // namespace kernels
 
 Tensor Gelu(const Tensor& a) {
@@ -730,11 +722,11 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   auto [m, n] = RowsCols(x);
   KGLINK_CHECK_EQ(static_cast<int64_t>(n), gamma.numel());
   KGLINK_CHECK_EQ(static_cast<int64_t>(n), beta.numel());
-  // xhat and inv_std feed only the backward; without a tape each row's
-  // normalized values are formed and consumed in place.
+  // xhat and inv_std feed only the backward; without a tape one xhat row
+  // is reused and inv_std is not kept.
   const bool keep = NeedsGrad({x, gamma, beta});
   std::vector<float> data(x.data().size());
-  std::vector<float> xhat(keep ? x.data().size() : 0);
+  std::vector<float> xhat(keep ? x.data().size() : n);
   std::vector<float> inv_std(keep ? m : 0);
   for (int i = 0; i < m; ++i) {
     const float* xr = x.data().data() + static_cast<size_t>(i) * n;
@@ -745,19 +737,12 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
     for (int j = 0; j < n; ++j) var += (xr[j] - mean) * (xr[j] - mean);
     var /= n;
     float is = 1.0f / std::sqrt(var + eps);
+    if (keep) inv_std[i] = is;
+    float* xh = xhat.data() + (keep ? static_cast<size_t>(i) * n : 0);
     float* yr = data.data() + static_cast<size_t>(i) * n;
-    if (keep) {
-      inv_std[i] = is;
-      float* xh = xhat.data() + static_cast<size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        xh[j] = (xr[j] - mean) * is;
-        yr[j] = gamma.data()[j] * xh[j] + beta.data()[j];
-      }
-    } else {
-      for (int j = 0; j < n; ++j) {
-        const float xh = (xr[j] - mean) * is;
-        yr[j] = gamma.data()[j] * xh + beta.data()[j];
-      }
+    for (int j = 0; j < n; ++j) {
+      xh[j] = (xr[j] - mean) * is;
+      yr[j] = gamma.data()[j] * xh[j] + beta.data()[j];
     }
   }
   auto out = NewOutput(x.shape(), std::move(data), {x, gamma, beta});

@@ -10,8 +10,8 @@
 //  - Ops skip closure creation entirely when no input requires gradients.
 //    Model parameters always require gradients, so a forward over them
 //    records a tape unless a NoGradGuard is alive on the calling thread:
-//    serving inference holds one (core::KgLinkAnnotator's eval paths),
-//    training forwards never do.
+//    serving inference holds one (core::KgLinkAnnotator's eval paths), and
+//    no forward whose gradients are used does.
 #ifndef KGLINK_NN_TENSOR_H_
 #define KGLINK_NN_TENSOR_H_
 
@@ -215,15 +215,14 @@ namespace kernels {
 // is within 7e-7 absolute of a double-precision evaluation of the same
 // formula, and GeluBackward within 3e-7 (tests/tensor_test.cc pins both;
 // measured 5.2e-7 and 1.8e-7, against 4.3e-7 and 5.6e-7 for std::tanh).
-// `simd` picks the AVX2 path where it is compiled in; it evaluates the
-// scalar operation sequence lane by lane, so both paths are bit-identical.
+// `simd` picks the AVX2 path where it is compiled in (elsewhere it is
+// ignored); it evaluates the scalar operation sequence lane by lane, so
+// both paths are bit-identical.
 void GeluForward(const float* x, float* y, size_t n, bool simd = true);
 // gx[i] += gy[i] * gelu'(x[i]), where gelu'(x) = s + 2x s (1 - s) C (1 +
 // 3 A x^2) with s = sigmoid(2u); s and 1 - s both come straight from e.
 void GeluBackward(const float* x, const float* gy, float* gx, size_t n,
                   bool simd = true);
-// True when GeluForward/GeluBackward have an AVX2 path in this build.
-bool GeluHasSimd();
 
 }  // namespace kernels
 

@@ -190,15 +190,6 @@ TEST(NoGradGuardTest, OpsRecordNoTapeUnderGuard) {
   }
 }
 
-TEST(NoGradGuardTest, OpsRecordTapeWithoutGuard) {
-  Rng rng(31);
-  for (const Tensor& out : ServingOps(rng)) {
-    EXPECT_TRUE(out.requires_grad());
-    EXPECT_FALSE(out.impl()->parents.empty());
-    EXPECT_TRUE(out.impl()->backward);
-  }
-}
-
 TEST(NoGradGuardTest, OutputsAreBitIdenticalWithAndWithoutGuard) {
   Rng taped_rng(32);
   const std::vector<Tensor> taped = ServingOps(taped_rng);
@@ -207,6 +198,7 @@ TEST(NoGradGuardTest, OutputsAreBitIdenticalWithAndWithoutGuard) {
   const std::vector<Tensor> free = ServingOps(free_rng);
   ASSERT_EQ(taped.size(), free.size());
   for (size_t i = 0; i < taped.size(); ++i) {
+    EXPECT_TRUE(taped[i].impl()->backward) << "op " << i;
     ASSERT_EQ(taped[i].shape(), free[i].shape()) << "op " << i;
     EXPECT_EQ(0, std::memcmp(taped[i].data().data(), free[i].data().data(),
                              taped[i].data().size() * sizeof(float)))
@@ -280,8 +272,9 @@ TEST(GeluKernelTest, WithinStatedBoundOfDoubleReference) {
   EXPECT_LE(worst_bwd, 3e-7);
 }
 
+// Lengths 1-33 cover every AVX2 tail. Without AVX2 both calls run the
+// scalar path.
 TEST(GeluKernelTest, ScalarAndSimdAreBitIdenticalOnEveryTail) {
-  if (!kernels::GeluHasSimd()) GTEST_SKIP() << "no AVX2 path in this build";
   Rng rng(33);
   for (size_t n = 1; n <= 33; ++n) {
     std::vector<float> x(n);
