@@ -163,7 +163,7 @@ std::vector<Tensor> ServingOps(Rng& rng) {
   Tensor g = RandLeaf({1, 8}, rng);
   Tensor b = RandLeaf({1, 8}, rng);
   Tensor table = RandLeaf({10, 8}, rng);
-  std::vector<Tensor> outs = {
+  return {
       MatMul(x, w),
       Add(x, b),
       Gelu(x),
@@ -176,7 +176,6 @@ std::vector<Tensor> ServingOps(Rng& rng) {
       ConcatRows({x, x}),
       MeanRows(x),
   };
-  return outs;
 }
 
 TEST(NoGradGuardTest, OpsRecordNoTapeUnderGuard) {
