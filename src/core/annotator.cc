@@ -482,7 +482,8 @@ double KgLinkAnnotator::ForwardTable(
       const SerializedTable& gt_chunk = gt_chunks[chunk_i];
       // Teacher encoding without dropout: a stable distillation target.
       // DmlmLoss detaches the teacher, so the teacher side records no tape
-      // (the gradients are the same with or without one).
+      // (the gradients are the same with or without one; pinned by
+      // DmlmLossTest.TeacherUnderNoGradGuardLeavesGradientsUnchanged).
       nn::Tensor gt_hidden;
       {
         nn::NoGradGuard no_grad;

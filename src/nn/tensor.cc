@@ -243,7 +243,6 @@ NoGradGuard::NoGradGuard() : prev_(t_no_grad) { t_no_grad = true; }
 
 NoGradGuard::~NoGradGuard() { t_no_grad = prev_; }
 
-bool NoGradGuard::Active() { return t_no_grad; }
 
 // ----- Tensor -----
 
@@ -620,33 +619,24 @@ inline __m256 GeluGradOne8(__m256 x) {
 
 namespace kernels {
 
-void GeluForward(const float* x, float* y, size_t n, bool simd) {
+void GeluForward(const float* x, float* y, size_t n) {
   size_t i = 0;
 #ifdef KGLINK_TENSOR_AVX2
-  if (simd) {
-    for (; i + 8 <= n; i += 8) {
-      _mm256_storeu_ps(y + i, GeluOne8(_mm256_loadu_ps(x + i)));
-    }
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, GeluOne8(_mm256_loadu_ps(x + i)));
   }
-#else
-  (void)simd;
 #endif
   for (; i < n; ++i) y[i] = GeluOne(x[i]);
 }
 
-void GeluBackward(const float* x, const float* gy, float* gx, size_t n,
-                  bool simd) {
+void GeluBackward(const float* x, const float* gy, float* gx, size_t n) {
   size_t i = 0;
 #ifdef KGLINK_TENSOR_AVX2
-  if (simd) {
-    for (; i + 8 <= n; i += 8) {
-      const __m256 g = _mm256_mul_ps(_mm256_loadu_ps(gy + i),
-                                     GeluGradOne8(_mm256_loadu_ps(x + i)));
-      _mm256_storeu_ps(gx + i, _mm256_add_ps(_mm256_loadu_ps(gx + i), g));
-    }
+  for (; i + 8 <= n; i += 8) {
+    const __m256 g = _mm256_mul_ps(_mm256_loadu_ps(gy + i),
+                                   GeluGradOne8(_mm256_loadu_ps(x + i)));
+    _mm256_storeu_ps(gx + i, _mm256_add_ps(_mm256_loadu_ps(gx + i), g));
   }
-#else
-  (void)simd;
 #endif
   for (; i < n; ++i) gx[i] += gy[i] * GeluGradOne(x[i]);
 }

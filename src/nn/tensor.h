@@ -119,9 +119,6 @@ class NoGradGuard {
   NoGradGuard(const NoGradGuard&) = delete;
   NoGradGuard& operator=(const NoGradGuard&) = delete;
 
-  // True while a guard is alive on the calling thread.
-  static bool Active();
-
  private:
   bool prev_;
 };
@@ -215,14 +212,13 @@ namespace kernels {
 // is within 7e-7 absolute of a double-precision evaluation of the same
 // formula, and GeluBackward within 3e-7 (tests/tensor_test.cc pins both;
 // measured 5.2e-7 and 1.8e-7, against 4.3e-7 and 5.6e-7 for std::tanh).
-// `simd` picks the AVX2 path where it is compiled in (elsewhere it is
-// ignored); it evaluates the scalar operation sequence lane by lane, so
-// both paths are bit-identical.
-void GeluForward(const float* x, float* y, size_t n, bool simd = true);
+// Where AVX2 is compiled in, full 8-lane blocks evaluate the scalar
+// operation sequence lane by lane and the tail runs scalar, so every
+// element is bit-identical to a one-element call.
+void GeluForward(const float* x, float* y, size_t n);
 // gx[i] += gy[i] * gelu'(x[i]), where gelu'(x) = s + 2x s (1 - s) C (1 +
 // 3 A x^2) with s = sigmoid(2u); s and 1 - s both come straight from e.
-void GeluBackward(const float* x, const float* gy, float* gx, size_t n,
-                  bool simd = true);
+void GeluBackward(const float* x, const float* gy, float* gx, size_t n);
 
 }  // namespace kernels
 

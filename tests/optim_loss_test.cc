@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "nn/loss.h"
 #include "nn/optim.h"
@@ -99,6 +100,35 @@ TEST(DmlmLossTest, GradientsFlowToStudentOnly) {
   for (float g : teacher.grad()) t_grad += std::abs(g);
   EXPECT_GT(s_grad, 0.0f);
   EXPECT_EQ(t_grad, 0.0f);
+}
+
+// The annotator's DMLM step computes the teacher logits under a
+// NoGradGuard. That only drops no gradient because DmlmLoss sends none to
+// the teacher: with a shared weight on both sides, the weight's gradient
+// must be the same whether the teacher was taped or not.
+TEST(DmlmLossTest, TeacherUnderNoGradGuardLeavesGradientsUnchanged) {
+  const std::vector<float> w_data = {0.3f, -0.2f, 0.5f, 0.1f, 0.4f, -0.6f};
+  Tensor x_student = Tensor::FromData({2, 2}, {1.0f, 0.5f, -0.3f, 0.8f});
+  Tensor x_teacher = Tensor::FromData({2, 2}, {0.2f, -1.0f, 0.7f, 0.4f});
+  auto step = [&](bool guard_teacher) {
+    Tensor w = Tensor::FromData({2, 3}, w_data, /*requires_grad=*/true);
+    Tensor student = MatMul(x_student, w);
+    Tensor teacher;
+    if (guard_teacher) {
+      NoGradGuard no_grad;
+      teacher = MatMul(x_teacher, w);
+    } else {
+      teacher = MatMul(x_teacher, w);
+    }
+    DmlmLoss(student, teacher, 2.0f).Backward();
+    return w.grad();
+  };
+  const std::vector<float> taped = step(/*guard_teacher=*/false);
+  const std::vector<float> guarded = step(/*guard_teacher=*/true);
+  ASSERT_EQ(taped.size(), guarded.size());
+  for (size_t i = 0; i < taped.size(); ++i) {
+    EXPECT_EQ(taped[i], guarded[i]) << "w.grad[" << i << "]";
+  }
 }
 
 TEST(UncertaintyLossTest, MatchesClosedForm) {
