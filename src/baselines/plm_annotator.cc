@@ -65,38 +65,19 @@ std::vector<PlmSequence> PlmColumnAnnotator::SerializeMultiColumn(
   return out;
 }
 
-double PlmColumnAnnotator::ForwardTable(const table::Table& t,
-                                        const std::vector<int>* labels,
-                                        bool training, float loss_scale,
-                                        std::vector<int>* predictions) {
-  if (predictions != nullptr) {
-    predictions->assign(static_cast<size_t>(t.num_cols()), 0);
-  }
+double PlmColumnAnnotator::TrainTable(const table::Table& t,
+                                      const std::vector<int>& labels,
+                                      float loss_scale) {
   double loss_value = 0.0;
   for (const PlmSequence& seq : SerializeTable(t)) {
     KGLINK_CHECK(!seq.tokens.empty());
-    nn::Tensor hidden = EncodeTokens(seq.tokens, seq.segments, training);
-    nn::Tensor cls_rows = nn::Rows(hidden, seq.cls_positions);
-    nn::Tensor logits = cls_head_->Forward(cls_rows);
-
-    if (predictions != nullptr) {
-      const auto& data = logits.data();
-      int num_labels = logits.cols();
-      for (size_t j = 0; j < seq.source_cols.size(); ++j) {
-        const float* row = data.data() + j * static_cast<size_t>(num_labels);
-        int best = 0;
-        for (int l = 1; l < num_labels; ++l) {
-          if (row[l] > row[best]) best = l;
-        }
-        (*predictions)[static_cast<size_t>(seq.source_cols[j])] = best;
-      }
-    }
-
-    if (!training) continue;
+    nn::Tensor hidden =
+        EncodeTokens(seq.tokens, seq.segments, /*training=*/true);
+    nn::Tensor logits = cls_head_->Forward(nn::Rows(hidden, seq.cls_positions));
     std::vector<int> labeled_rows;
     std::vector<int> gold;
     for (size_t j = 0; j < seq.source_cols.size(); ++j) {
-      int label = (*labels)[static_cast<size_t>(seq.source_cols[j])];
+      int label = labels[static_cast<size_t>(seq.source_cols[j])];
       if (label == table::kUnlabeled) continue;
       labeled_rows.push_back(static_cast<int>(j));
       gold.push_back(label);
@@ -106,22 +87,33 @@ double PlmColumnAnnotator::ForwardTable(const table::Table& t,
     loss_value += loss.item();
     nn::Scale(loss, loss_scale).Backward();
   }
-  if (training) {
-    nn::Tensor aux = AuxiliaryLoss(t, *rng_);
-    if (aux.defined()) {
-      loss_value += aux.item();
-      nn::Scale(aux, loss_scale).Backward();
-    }
+  nn::Tensor aux = AuxiliaryLoss(t, *rng_);
+  if (aux.defined()) {
+    loss_value += aux.item();
+    nn::Scale(aux, loss_scale).Backward();
   }
   return loss_value;
+}
+
+std::vector<PlmColumnAnnotator::SequenceLogits>
+PlmColumnAnnotator::PredictLogits(const table::Table& t) {
+  KGLINK_CHECK(encoder_ != nullptr) << "PredictLogits before Fit";
+  std::vector<SequenceLogits> out;
+  for (PlmSequence& seq : SerializeTable(t)) {
+    KGLINK_CHECK(!seq.tokens.empty());
+    nn::Tensor hidden =
+        EncodeTokens(seq.tokens, seq.segments, /*training=*/false);
+    out.push_back({std::move(seq.source_cols),
+                   cls_head_->Forward(nn::Rows(hidden, seq.cls_positions))});
+  }
+  return out;
 }
 
 double PlmColumnAnnotator::EvaluateCorpus(const table::Corpus& corpus) {
   int64_t correct = 0;
   int64_t total = 0;
-  std::vector<int> pred;
   for (const auto& lt : corpus.tables) {
-    ForwardTable(lt.table, nullptr, /*training=*/false, 0.0f, &pred);
+    std::vector<int> pred = PredictTable(lt.table);
     for (size_t c = 0; c < lt.column_labels.size(); ++c) {
       if (lt.column_labels[c] == table::kUnlabeled) continue;
       ++total;
@@ -200,8 +192,7 @@ void PlmColumnAnnotator::Fit(const table::Corpus& train,
     optimizer.ZeroGrad();
     for (size_t idx : order) {
       const auto& lt = train.tables[idx];
-      epoch_loss += ForwardTable(lt.table, &lt.column_labels,
-                                 /*training=*/true, loss_scale, nullptr);
+      epoch_loss += TrainTable(lt.table, lt.column_labels, loss_scale);
       if (++in_batch == options_.batch_size) {
         optimizer.ClipGradNorm(options_.clip_norm);
         optimizer.Step(schedule.LrAt(step++));
@@ -236,9 +227,20 @@ void PlmColumnAnnotator::Fit(const table::Corpus& train,
 }
 
 std::vector<int> PlmColumnAnnotator::PredictTable(const table::Table& t) {
-  KGLINK_CHECK(encoder_ != nullptr) << "PredictTable before Fit";
-  std::vector<int> pred;
-  ForwardTable(t, nullptr, /*training=*/false, 0.0f, &pred);
+  nn::NoGradGuard no_grad;  // eval forward: no tape (see nn/tensor.h)
+  std::vector<int> pred(static_cast<size_t>(t.num_cols()), 0);
+  for (const SequenceLogits& seq : PredictLogits(t)) {
+    const auto& data = seq.logits.data();
+    int num_labels = seq.logits.cols();
+    for (size_t j = 0; j < seq.source_cols.size(); ++j) {
+      const float* row = data.data() + j * static_cast<size_t>(num_labels);
+      int best = 0;
+      for (int l = 1; l < num_labels; ++l) {
+        if (row[l] > row[best]) best = l;
+      }
+      pred[static_cast<size_t>(seq.source_cols[j])] = best;
+    }
+  }
   return pred;
 }
 

@@ -54,7 +54,19 @@ class PlmColumnAnnotator : public eval::ColumnAnnotator {
 
   std::string name() const override { return options_.display_name; }
   void Fit(const table::Corpus& train, const table::Corpus& valid) override;
+  // Argmax of PredictLogits, computed under nn::NoGradGuard (no tape), as
+  // is the validation pass of Fit.
   std::vector<int> PredictTable(const table::Table& t) override;
+
+  // Eval-mode logits of one serialized sequence: row j predicts table
+  // column source_cols[j].
+  struct SequenceLogits {
+    std::vector<int> source_cols;
+    nn::Tensor logits;  // [source_cols.size() x num_labels]
+  };
+  // Runs every sequence of `t` through the encoder and the head in eval
+  // mode. Records a tape unless the caller holds nn::NoGradGuard.
+  std::vector<SequenceLogits> PredictLogits(const table::Table& t);
 
   double fit_seconds() const { return fit_seconds_; }
 
@@ -95,9 +107,9 @@ class PlmColumnAnnotator : public eval::ColumnAnnotator {
                                                 int row_limit) const;
 
  private:
-  double ForwardTable(const table::Table& t,
-                      const std::vector<int>* labels, bool training,
-                      float loss_scale, std::vector<int>* predictions);
+  // One training forward + backward over `t`; returns the summed loss.
+  double TrainTable(const table::Table& t, const std::vector<int>& labels,
+                    float loss_scale);
   double EvaluateCorpus(const table::Corpus& corpus);
 
   PlmOptions options_;

@@ -220,11 +220,16 @@ void SherlockAnnotator::Fit(const table::Corpus& train,
   }
 }
 
+nn::Tensor SherlockAnnotator::ColumnLogits(const table::Table& t, int col) {
+  KGLINK_CHECK(out_.has_value()) << "ColumnLogits before Fit";
+  return Forward(ExtractFeatures(t, col), /*training=*/false);
+}
+
 std::vector<int> SherlockAnnotator::PredictTable(const table::Table& t) {
-  KGLINK_CHECK(out_.has_value()) << "PredictTable before Fit";
+  nn::NoGradGuard no_grad;  // eval forward: no tape (see nn/tensor.h)
   std::vector<int> pred(static_cast<size_t>(t.num_cols()));
   for (int c = 0; c < t.num_cols(); ++c) {
-    nn::Tensor logits = Forward(ExtractFeatures(t, c), /*training=*/false);
+    nn::Tensor logits = ColumnLogits(t, c);
     const auto& data = logits.data();
     int best = 0;
     for (size_t l = 1; l < data.size(); ++l) {

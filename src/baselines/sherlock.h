@@ -36,7 +36,12 @@ class SherlockAnnotator : public eval::ColumnAnnotator {
 
   std::string name() const override { return options_.display_name; }
   void Fit(const table::Corpus& train, const table::Corpus& valid) override;
+  // Argmax of ColumnLogits per column, under nn::NoGradGuard (no tape).
   std::vector<int> PredictTable(const table::Table& t) override;
+
+  // Eval-mode [1 x num_labels] logits for one column. Records a tape
+  // unless the caller holds nn::NoGradGuard.
+  nn::Tensor ColumnLogits(const table::Table& t, int col);
 
   // The engineered feature vector for one column (exposed for tests).
   std::vector<float> ExtractFeatures(const table::Table& t, int col) const;

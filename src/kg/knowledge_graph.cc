@@ -121,6 +121,7 @@ Status KnowledgeGraph::Finalize() {
   topo_.qid_sorted_count = t->qid_sorted.size();
   topo_.label_sorted = t->label_sorted.data();
   owned_ = std::move(t);
+  BuildPersonOrDateFlags();
   frozen_ = true;
   return Status::Ok();
 }
@@ -144,12 +145,20 @@ KnowledgeGraph KnowledgeGraph::FromFrozen(
   kg.entities_ = std::move(entities);
   kg.num_triples_ = num_triples;
   kg.topo_ = topo;
+  kg.BuildPersonOrDateFlags();
   kg.frozen_ = true;
   return kg;
 }
 
 void KnowledgeGraph::CheckFrozen() const {
   KGLINK_CHECK(frozen_) << "read of a KnowledgeGraph before Finalize()";
+}
+
+void KnowledgeGraph::BuildPersonOrDateFlags() {
+  person_or_date_.resize(entities_.size());
+  for (size_t i = 0; i < entities_.size(); ++i) {
+    person_or_date_[i] = entities_[i].is_person || entities_[i].is_date;
+  }
 }
 
 const Entity& KnowledgeGraph::entity(EntityId id) const {

@@ -118,6 +118,17 @@ class KnowledgeGraph {
   // True once Finalize() or FromFrozen() produced the topology.
   bool frozen() const { return frozen_; }
 
+  // True when `id` is tagged PERSON or DATE, which the paper's label filter
+  // keeps out of candidate types. One byte of a flat per-entity array that
+  // Finalize()/FromFrozen() build from the entity tags (it is not part of
+  // the snapshot format), so the candidate-type loop reads no Entity.
+  // Requires frozen() and a valid `id`.
+  bool IsPersonOrDate(EntityId id) const {
+    KGLINK_DCHECK(id >= 0 &&
+                  static_cast<size_t>(id) < person_or_date_.size());
+    return person_or_date_[static_cast<size_t>(id)] != 0;
+  }
+
   // ----- lookup -----
   int64_t num_entities() const { return static_cast<int64_t>(entities_.size()); }
   int64_t num_triples() const { return num_triples_; }
@@ -162,6 +173,7 @@ class KnowledgeGraph {
   struct OwnedTopology;  // the arrays Finalize() builds
 
   void CheckFrozen() const;
+  void BuildPersonOrDateFlags();
 
   std::vector<Entity> entities_;
   std::vector<std::string> predicate_labels_;
@@ -171,6 +183,7 @@ class KnowledgeGraph {
   bool frozen_ = false;
   std::shared_ptr<const OwnedTopology> owned_;  // null when borrowed
   FrozenTopologyView topo_;  // into *owned_ or the external mapping
+  std::vector<uint8_t> person_or_date_;  // per entity; built on freeze
 };
 
 }  // namespace kglink::kg

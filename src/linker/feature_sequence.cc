@@ -24,6 +24,9 @@ kg::EntityId SelectFeatureEntity(const std::vector<RowLinks>& row_links,
   double best_score = -1.0;
   // Preferred source: pruned candidates (filter-approved links).
   for (const RowLinks& row : row_links) {
+    // As in GenerateCandidateTypes: a short row's missing cells are
+    // unlinked, never an out-of-bounds read.
+    if (static_cast<size_t>(col) >= row.cells.size()) continue;
     const CellLinks& cell = row.cells[static_cast<size_t>(col)];
     for (const EntityCandidate& cand : cell.pruned) {
       if (cand.linking_score > best_score) {
@@ -36,6 +39,7 @@ kg::EntityId SelectFeatureEntity(const std::vector<RowLinks>& row_links,
   // Fallback: best raw retrieval, so some KG context survives even when
   // the overlap filter excluded everything.
   for (const RowLinks& row : row_links) {
+    if (static_cast<size_t>(col) >= row.cells.size()) continue;
     const CellLinks& cell = row.cells[static_cast<size_t>(col)];
     for (const EntityCandidate& cand : cell.retrieved) {
       if (cand.linking_score > best_score) {

@@ -137,28 +137,38 @@ ProcessedTable KgPipeline::Process(const table::Table& table,
     }
   }
 
-  // Step 3 per column: candidate types, feature sequence, numeric stats.
-  KGLINK_SCOPE("part1.column_features");
+  // Step 3 per column: candidate types (numeric statistics in their
+  // place), then the feature sequences, each under its own span.
   out.columns.resize(static_cast<size_t>(table.num_cols()));
-  for (int c = 0; c < table.num_cols(); ++c) {
-    ColumnKgInfo& info = out.columns[static_cast<size_t>(c)];
-    info.is_numeric = table.IsNumericColumn(c);
-    if (info.is_numeric) {
-      // Numeric columns: no KG linkage; candidate types are replaced by the
-      // column's summary statistics (paper Part-1 step 3).
-      info.stats = table.ColumnStats(c);
-      continue;
+  {
+    KGLINK_SCOPE("part1.candidate_types");
+    for (int c = 0; c < table.num_cols(); ++c) {
+      ColumnKgInfo& info = out.columns[static_cast<size_t>(c)];
+      info.is_numeric = table.IsNumericColumn(c);
+      if (info.is_numeric) {
+        // Numeric columns: no KG linkage; candidate types are replaced by
+        // the column's summary statistics (paper Part-1 step 3).
+        info.stats = table.ColumnStats(c);
+        continue;
+      }
+      for (const CandidateType& ct :
+           GenerateCandidateTypes(*kg_, out.row_links, c, config)) {
+        info.candidate_types.push_back(ct);
+        info.candidate_type_labels.push_back(kg_->entity(ct.entity).label);
+      }
     }
-    for (const CandidateType& ct :
-         GenerateCandidateTypes(*kg_, out.row_links, c, config)) {
-      info.candidate_types.push_back(ct);
-      info.candidate_type_labels.push_back(kg_->entity(ct.entity).label);
-    }
-    kg::EntityId feature_entity = SelectFeatureEntity(out.row_links, c);
-    if (feature_entity != kg::kInvalidEntity) {
-      info.has_feature = true;
-      info.feature_sequence =
-          SerializeFeatureSequence(*kg_, feature_entity, config);
+  }
+  {
+    KGLINK_SCOPE("part1.feature_sequence");
+    for (int c = 0; c < table.num_cols(); ++c) {
+      ColumnKgInfo& info = out.columns[static_cast<size_t>(c)];
+      if (info.is_numeric) continue;
+      kg::EntityId feature_entity = SelectFeatureEntity(out.row_links, c);
+      if (feature_entity != kg::kInvalidEntity) {
+        info.has_feature = true;
+        info.feature_sequence =
+            SerializeFeatureSequence(*kg_, feature_entity, config);
+      }
     }
   }
   return out;

@@ -4,17 +4,20 @@
 // table retrieval, Sudowoodo's per-column isolation).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "baselines/doduo.h"
 #include "baselines/hnn.h"
 #include "baselines/mtab.h"
 #include "baselines/reca.h"
+#include "baselines/sherlock.h"
 #include "baselines/sudowoodo.h"
 #include "baselines/tabert.h"
 #include "data/corpus_gen.h"
 #include "data/world.h"
 #include "eval/metrics.h"
+#include "nn/tensor.h"
 #include "search/search_engine.h"
 
 namespace kglink::baselines {
@@ -148,6 +151,101 @@ TEST_F(BaselinesTest, EvaluateWithPredictionsReturnsFlatVectors) {
       doduo.EvaluateWithPredictions(split_->test, &gold, &pred);
   EXPECT_EQ(gold.size(), pred.size());
   EXPECT_EQ(static_cast<int64_t>(gold.size()), m.total);
+}
+
+
+bool BitEqual(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(float)) == 0;
+}
+
+int Argmax(const float* row, int n) {
+  int best = 0;
+  for (int l = 1; l < n; ++l) {
+    if (row[l] > row[best]) best = l;
+  }
+  return best;
+}
+
+// A Doduo that notes, at every serialization, whether ops would record a
+// tape right then: the eval path has to run under nn::NoGradGuard.
+class TapeProbeDoduo : public DoduoAnnotator {
+ public:
+  using DoduoAnnotator::DoduoAnnotator;
+  mutable int taped = 0;
+  mutable int untaped = 0;
+
+ protected:
+  std::vector<PlmSequence> SerializeTable(
+      const table::Table& t) const override {
+    nn::Tensor probe = nn::Tensor::FromData({1, 1}, {1.0f},
+                                            /*requires_grad=*/true);
+    ++(nn::Gelu(probe).requires_grad() ? taped : untaped);
+    return DoduoAnnotator::SerializeTable(t);
+  }
+};
+
+TEST_F(BaselinesTest, PlmEvalBuildsNoTapeAndKeepsPredictions) {
+  TapeProbeDoduo doduo(FastPlm("Doduo"));
+  doduo.Fit(split_->train, split_->valid);
+  // Fit trains with the tape and validates without it.
+  EXPECT_GT(doduo.taped, 0);
+  EXPECT_GT(doduo.untaped, 0);
+  for (const table::LabeledTable& lt : split_->test.tables) {
+    const table::Table& t = lt.table;
+    doduo.taped = doduo.untaped = 0;
+    std::vector<int> pred = doduo.PredictTable(t);
+    EXPECT_EQ(doduo.taped, 0) << t.id();
+    EXPECT_GT(doduo.untaped, 0) << t.id();
+
+    // Logits with and without a tape are bit-identical, and PredictTable
+    // is their argmax.
+    auto taped = doduo.PredictLogits(t);
+    std::vector<PlmColumnAnnotator::SequenceLogits> free;
+    {
+      nn::NoGradGuard no_grad;
+      free = doduo.PredictLogits(t);
+    }
+    ASSERT_EQ(taped.size(), free.size());
+    std::vector<int> want(static_cast<size_t>(t.num_cols()), 0);
+    for (size_t i = 0; i < taped.size(); ++i) {
+      EXPECT_TRUE(taped[i].logits.requires_grad());
+      EXPECT_FALSE(free[i].logits.requires_grad());
+      EXPECT_TRUE(BitEqual(taped[i].logits, free[i].logits)) << t.id();
+      EXPECT_EQ(taped[i].source_cols, free[i].source_cols);
+      const int n = taped[i].logits.cols();
+      for (size_t j = 0; j < taped[i].source_cols.size(); ++j) {
+        want[static_cast<size_t>(taped[i].source_cols[j])] = Argmax(
+            taped[i].logits.data().data() + j * static_cast<size_t>(n), n);
+      }
+    }
+    EXPECT_EQ(pred, want) << t.id();
+  }
+}
+
+TEST_F(BaselinesTest, SherlockEvalLogitsAreBitIdenticalWithoutTape) {
+  SherlockOptions options;
+  options.epochs = 2;
+  SherlockAnnotator sherlock(options);
+  sherlock.Fit(split_->train, split_->valid);
+  for (const table::LabeledTable& lt : split_->test.tables) {
+    const table::Table& t = lt.table;
+    std::vector<int> want;
+    for (int c = 0; c < t.num_cols(); ++c) {
+      nn::Tensor taped = sherlock.ColumnLogits(t, c);
+      nn::Tensor free;
+      {
+        nn::NoGradGuard no_grad;
+        free = sherlock.ColumnLogits(t, c);
+      }
+      EXPECT_TRUE(taped.requires_grad());
+      EXPECT_FALSE(free.requires_grad());
+      EXPECT_TRUE(BitEqual(taped, free)) << t.id() << " col " << c;
+      want.push_back(Argmax(taped.data().data(), taped.cols()));
+    }
+    EXPECT_EQ(sherlock.PredictTable(t), want) << t.id();
+  }
 }
 
 }  // namespace

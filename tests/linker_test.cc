@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "data/corpus_gen.h"
 #include "data/world.h"
@@ -19,6 +22,8 @@
 #include "linker/row_filter.h"
 #include "robust/fault_injector.h"
 #include "search/search_engine.h"
+#include "store/snapshot.h"
+#include "store/snapshot_writer.h"
 
 namespace kglink::linker {
 namespace {
@@ -286,6 +291,11 @@ TEST_F(LinkerFixture, CandidateTypesTolerateShortRows) {
   auto album_types = GenerateCandidateTypes(kg_, rows, /*col=*/0, config_);
   ASSERT_FALSE(album_types.empty());
   EXPECT_EQ(album_types[0].entity, album_type_);
+  // The pipeline picks the feature entity from the same rows: it skips the
+  // short row's missing cells in both of its passes.
+  EXPECT_EQ(SelectFeatureEntity(rows, /*col=*/1), peter_);
+  std::vector<RowLinks> only_short = {short_row};
+  EXPECT_EQ(SelectFeatureEntity(only_short, /*col=*/1), kg::kInvalidEntity);
 }
 
 TEST_F(LinkerFixture, NonAsciiLabelsLinkEndToEnd) {
@@ -497,6 +507,377 @@ TEST(LinkerTest, OverlapMatchesNeighbourMapOracle) {
   // actually changed some rows' support.
   EXPECT_GT(pruned, rows);
   EXPECT_GT(rows_changed_by_faults, 0);
+}
+
+
+// The hash-map Eq. 7-8 step GenerateCandidateTypes ran before it moved to
+// an open-addressed accumulator: one unordered_map of {score, row set} per
+// column, the PERSON/DATE tags read off each Entity, then a full sort. It
+// is the oracle for the accumulator. `skipped`, when set, counts the
+// neighbour visits the label filter dropped.
+std::vector<CandidateType> HashMapOracleCandidateTypes(
+    const kg::KnowledgeGraph& kg, const std::vector<RowLinks>& row_links,
+    int col, const LinkerConfig& config, int64_t* skipped = nullptr) {
+  struct Accum {
+    double score = 0.0;
+    std::unordered_set<int> rows;
+  };
+  std::unordered_map<kg::EntityId, Accum> accum;
+  for (size_t r = 0; r < row_links.size(); ++r) {
+    if (static_cast<size_t>(col) >= row_links[r].cells.size()) continue;
+    const CellLinks& cell = row_links[r].cells[static_cast<size_t>(col)];
+    for (const EntityCandidate& cand : cell.pruned) {
+      for (kg::EntityId ct : kg.NeighborSet(cand.entity)) {
+        const kg::Entity& e = kg.entity(ct);
+        if (e.is_person || e.is_date) {
+          if (skipped != nullptr) ++*skipped;
+          continue;
+        }
+        Accum& a = accum[ct];
+        a.score += cand.overlap_score;
+        a.rows.insert(static_cast<int>(r));
+      }
+    }
+  }
+  std::vector<CandidateType> out;
+  for (const auto& [entity, a] : accum) {
+    if (a.rows.size() < 2) continue;
+    out.push_back({entity, a.score});
+  }
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.entity < b.entity;
+  });
+  if (static_cast<int>(out.size()) > config.max_candidate_types) {
+    out.resize(static_cast<size_t>(config.max_candidate_types));
+  }
+  return out;
+}
+
+void ExpectSameTypes(const std::vector<CandidateType>& got,
+                     const std::vector<CandidateType>& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].entity, want[i].entity) << where << " #" << i;
+    EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score, sizeof(double)), 0)
+        << where << " #" << i;
+  }
+}
+
+// What KgPipeline::Process must have put in column `c`, recomputed from
+// its own kept rows with the oracle.
+ColumnKgInfo OracleColumn(const kg::KnowledgeGraph& kg,
+                          const table::Table& table,
+                          const std::vector<RowLinks>& row_links, int c,
+                          const LinkerConfig& config, int64_t* skipped) {
+  ColumnKgInfo info;
+  info.is_numeric = table.IsNumericColumn(c);
+  if (info.is_numeric) {
+    info.stats = table.ColumnStats(c);
+    return info;
+  }
+  info.candidate_types =
+      HashMapOracleCandidateTypes(kg, row_links, c, config, skipped);
+  for (const CandidateType& ct : info.candidate_types) {
+    info.candidate_type_labels.push_back(kg.entity(ct.entity).label);
+  }
+  kg::EntityId feature = SelectFeatureEntity(row_links, c);
+  if (feature != kg::kInvalidEntity) {
+    info.has_feature = true;
+    info.feature_sequence = SerializeFeatureSequence(kg, feature, config);
+  }
+  return info;
+}
+
+void ExpectSameColumn(const ColumnKgInfo& got, const ColumnKgInfo& want,
+                      const std::string& where) {
+  EXPECT_EQ(got.is_numeric, want.is_numeric) << where;
+  EXPECT_EQ(std::memcmp(&got.stats.mean, &want.stats.mean, sizeof(double)),
+            0)
+      << where;
+  EXPECT_EQ(std::memcmp(&got.stats.variance, &want.stats.variance,
+                        sizeof(double)),
+            0)
+      << where;
+  EXPECT_EQ(
+      std::memcmp(&got.stats.median, &want.stats.median, sizeof(double)), 0)
+      << where;
+  EXPECT_EQ(got.stats.count, want.stats.count) << where;
+  ExpectSameTypes(got.candidate_types, want.candidate_types, where);
+  EXPECT_EQ(got.candidate_type_labels, want.candidate_type_labels) << where;
+  EXPECT_EQ(got.has_feature, want.has_feature) << where;
+  EXPECT_EQ(got.feature_sequence, want.feature_sequence) << where;
+}
+
+TEST(LinkerTest, CandidateTypesMatchHashMapOracle) {
+  // The perfbench-shaped world: open-class scale 20, same-label decoys.
+  data::WorldConfig world_config;
+  world_config.seed = 7;
+  world_config.open_class_scale = 20.0;
+  world_config.duplicate_entity_prob = 0.2;
+  data::World world = data::GenerateWorld(world_config);
+  search::SearchEngine engine = search::IndexKnowledgeGraph(world.kg);
+  data::CorpusOptions options = data::CorpusOptions::SemTabDefaults(16, 23);
+  options.min_rows = 100;
+  options.max_rows = 200;
+  std::vector<table::Table> tables;
+  for (table::LabeledTable& lt : data::GenerateSemTabCorpus(world, options)
+                                     .tables) {
+    if (lt.table.num_rows() >= 100) tables.push_back(std::move(lt.table));
+  }
+  ASSERT_GE(tables.size(), 5u);
+
+  // The same graph loaded back from a snapshot: its IsPersonOrDate flags
+  // come from FromFrozen(), not Finalize().
+  const std::string path = ::testing::TempDir() + "linker_test_ctypes.snap";
+  ASSERT_TRUE(store::WriteSnapshot(path, world.kg, engine, {}).ok());
+  auto snap = store::Snapshot::Open(path);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  auto mapped = (*snap)->MakeKg();
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_EQ(mapped->num_entities(), world.kg.num_entities());
+  int64_t flagged = 0;
+  for (kg::EntityId id = 0; id < world.kg.num_entities(); ++id) {
+    const kg::Entity& e = mapped->entity(id);
+    ASSERT_EQ(mapped->IsPersonOrDate(id), e.is_person || e.is_date) << id;
+    ASSERT_EQ(world.kg.IsPersonOrDate(id), mapped->IsPersonOrDate(id)) << id;
+    flagged += mapped->IsPersonOrDate(id);
+  }
+  EXPECT_GT(flagged, 0);
+
+  // Every column is checked against the oracle on its own graph; the
+  // mapped graph's clean columns must also equal the owned graph's.
+  LinkerConfig config;
+  struct FaultsOff {
+    ~FaultsOff() { robust::FaultInjector::Global().Disable(); }
+  } faults_off;
+  std::vector<std::vector<ColumnKgInfo>> owned_clean;
+  int64_t typed_columns = 0;
+  int64_t truncated_columns = 0;
+  int64_t skipped = 0;
+  int64_t changed_by_faults = 0;
+  int64_t processed = 0;
+  for (const kg::KnowledgeGraph* graph : {&world.kg, &*mapped}) {
+    const bool is_mapped = graph != &world.kg;
+    for (const char* spec : {"", "search.topk:0.05,kg.neighbors:0.3"}) {
+      const bool faults = spec[0] != '\0';
+      // A fresh cell cache per pass, so the fault pass really searches.
+      KgPipeline pipeline(graph, &engine, config);
+      if (faults) {
+        ASSERT_TRUE(robust::FaultInjector::Global()
+                        .ConfigureFromSpec(spec, /*seed=*/1234)
+                        .ok());
+      } else {
+        robust::FaultInjector::Global().Disable();
+      }
+      for (size_t t = 0; t < tables.size(); ++t) {
+        RequestContext rc;
+        rc.stream_key = t;
+        ProcessedTable out = pipeline.Process(tables[t], &rc);
+        ++processed;
+        ASSERT_EQ(out.columns.size(),
+                  static_cast<size_t>(tables[t].num_cols()));
+        for (int c = 0; c < tables[t].num_cols(); ++c) {
+          const std::string where =
+              std::string(is_mapped ? "mapped" : "owned") +
+              (faults ? " faults" : " clean") + " table " +
+              std::to_string(t) + " col " + std::to_string(c);
+          const ColumnKgInfo& got = out.columns[static_cast<size_t>(c)];
+          ExpectSameColumn(got,
+                           OracleColumn(*graph, tables[t], out.row_links, c,
+                                        config, &skipped),
+                           where);
+          typed_columns += !got.candidate_types.empty();
+          LinkerConfig uncapped = config;
+          uncapped.max_candidate_types = 1 << 20;
+          truncated_columns +=
+              HashMapOracleCandidateTypes(*graph, out.row_links, c, uncapped)
+                  .size() > got.candidate_types.size();
+        }
+        if (!faults && !is_mapped) {
+          owned_clean.push_back(out.columns);
+          continue;
+        }
+        for (int c = 0; c < tables[t].num_cols(); ++c) {
+          const ColumnKgInfo& got = out.columns[static_cast<size_t>(c)];
+          const ColumnKgInfo& clean = owned_clean[t][static_cast<size_t>(c)];
+          if (faults) {
+            changed_by_faults +=
+                got.candidate_type_labels != clean.candidate_type_labels;
+          } else {
+            ExpectSameColumn(got, clean,
+                             "owned vs mapped table " + std::to_string(t) +
+                                 " col " + std::to_string(c));
+          }
+        }
+      }
+    }
+  }
+  // Not vacuous: types were kept and cut at max_candidate_types, the
+  // label filter dropped visits, and the faults changed some columns.
+  EXPECT_GT(typed_columns, processed);
+  EXPECT_GT(truncated_columns, 0);
+  EXPECT_GT(skipped, 0);
+  EXPECT_GT(changed_by_faults, 0);
+}
+
+// Hand-built rows over a small graph, one pruned candidate per cell, to
+// pin each rule of Eq. 8 against the oracle.
+class CandidateTypeRulesTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (int i = 0; i < 6; ++i) {
+      types_.push_back(kg_.AddEntity(
+          {"T" + std::to_string(i), "type" + std::to_string(i), {}, "",
+           true, false, false}));
+    }
+    person_ = kg_.AddEntity({"P", "person", {}, "", false, true, false});
+    date_ = kg_.AddEntity({"D", "date", {}, "", false, false, true});
+    for (int i = 0; i < 4; ++i) {
+      cands_.push_back(kg_.AddEntity({"Q" + std::to_string(i),
+                                      "cand" + std::to_string(i), {}, "",
+                                      false, false, false}));
+    }
+    // cand0..cand3 all reach type0, type1 and the person/date entities;
+    // type2 and type3 are reached by cand0/cand1 only; type4 by cand2
+    // only; type5 by cand0 only.
+    for (kg::EntityId c : cands_) {
+      kg_.AddTriple(c, kg::KnowledgeGraph::kInstanceOf, types_[0]);
+      kg_.AddTriple(c, kg::KnowledgeGraph::kInstanceOf, types_[1]);
+      kg_.AddTriple(c, kg::KnowledgeGraph::kInstanceOf, person_);
+      kg_.AddTriple(c, kg::KnowledgeGraph::kInstanceOf, date_);
+    }
+    for (int i = 0; i < 2; ++i) {
+      kg_.AddTriple(cands_[static_cast<size_t>(i)],
+                    kg::KnowledgeGraph::kInstanceOf, types_[2]);
+      kg_.AddTriple(cands_[static_cast<size_t>(i)],
+                    kg::KnowledgeGraph::kInstanceOf, types_[3]);
+    }
+    kg_.AddTriple(cands_[2], kg::KnowledgeGraph::kInstanceOf, types_[4]);
+    kg_.AddTriple(cands_[0], kg::KnowledgeGraph::kInstanceOf, types_[5]);
+    ASSERT_TRUE(kg_.Finalize().ok());
+  }
+
+  // One row per (candidate, overlap score) pair, the candidate pruned in
+  // column 0.
+  static std::vector<RowLinks> Rows(
+      const std::vector<std::pair<kg::EntityId, double>>& cells) {
+    std::vector<RowLinks> rows;
+    for (const auto& [entity, overlap] : cells) {
+      RowLinks row;
+      row.cells.resize(1);
+      row.cells[0].pruned.push_back({entity, 1.0, overlap});
+      rows.push_back(row);
+    }
+    return rows;
+  }
+
+  std::vector<CandidateType> Check(const std::vector<RowLinks>& rows,
+                                   int max_types) {
+    LinkerConfig config;
+    config.max_candidate_types = max_types;
+    std::vector<CandidateType> got =
+        GenerateCandidateTypes(kg_, rows, 0, config);
+    ExpectSameTypes(got,
+                    HashMapOracleCandidateTypes(kg_, rows, 0, config),
+                    "max " + std::to_string(max_types));
+    return got;
+  }
+
+  kg::KnowledgeGraph kg_;
+  std::vector<kg::EntityId> types_;
+  std::vector<kg::EntityId> cands_;
+  kg::EntityId person_ = kg::kInvalidEntity;
+  kg::EntityId date_ = kg::kInvalidEntity;
+};
+
+TEST_F(CandidateTypeRulesTest, SingleRowSupportIsDropped) {
+  // type5 gets two terms from cand0 but only one row, so Eq. 8 drops it;
+  // type4 (cand2, rows 1 and 2) has two rows and stays.
+  RowLinks two_cands;
+  two_cands.cells.resize(1);
+  two_cands.cells[0].pruned = {{cands_[0], 1.0, 4.0}, {cands_[0], 1.0, 4.0}};
+  std::vector<RowLinks> rows = {two_cands};
+  for (RowLinks& row : Rows({{cands_[2], 1.0}, {cands_[2], 1.0}})) {
+    rows.push_back(row);
+  }
+  std::vector<CandidateType> got = Check(rows, 10);
+  std::set<kg::EntityId> kept;
+  for (const CandidateType& ct : got) kept.insert(ct.entity);
+  EXPECT_EQ(kept.count(types_[5]), 0u);
+  EXPECT_EQ(kept.count(types_[2]), 0u);
+  EXPECT_EQ(kept.count(types_[4]), 1u);
+  EXPECT_EQ(kept.count(types_[0]), 1u);
+}
+
+TEST_F(CandidateTypeRulesTest, TiesBreakByEntityAndTruncate) {
+  // Four rows give type0 and type1 the same score; cand0/cand1 rows give
+  // type2 and type3 a smaller, equal score. Ties order by entity id, and
+  // every cut keeps that order's prefix.
+  std::vector<RowLinks> rows = Rows(
+      {{cands_[0], 2.0}, {cands_[1], 2.0}, {cands_[2], 2.0}, {cands_[3], 2.0}});
+  std::vector<CandidateType> all = Check(rows, 10);
+  ASSERT_EQ(all.size(), 4u);
+  EXPECT_EQ(all[0].entity, types_[0]);
+  EXPECT_EQ(all[1].entity, types_[1]);
+  EXPECT_EQ(all[0].score, all[1].score);
+  EXPECT_EQ(all[2].entity, types_[2]);
+  EXPECT_EQ(all[3].entity, types_[3]);
+  EXPECT_EQ(all[2].score, all[3].score);
+  for (int k = 0; k <= 5; ++k) {
+    std::vector<CandidateType> cut = Check(rows, k);
+    ASSERT_EQ(cut.size(), std::min<size_t>(static_cast<size_t>(k), 4u));
+    for (size_t i = 0; i < cut.size(); ++i) {
+      EXPECT_EQ(cut[i].entity, all[i].entity) << "k " << k;
+    }
+  }
+}
+
+TEST_F(CandidateTypeRulesTest, PersonAndDateAreNeverTypes) {
+  // Every candidate reaches the person and date entities from every row,
+  // the best-supported neighbours there are, yet neither is a type.
+  std::vector<RowLinks> rows = Rows(
+      {{cands_[0], 1.0}, {cands_[1], 1.0}, {cands_[2], 1.0}, {cands_[3], 1.0}});
+  EXPECT_TRUE(kg_.IsPersonOrDate(person_));
+  EXPECT_TRUE(kg_.IsPersonOrDate(date_));
+  EXPECT_FALSE(kg_.IsPersonOrDate(types_[0]));
+  for (const CandidateType& ct : Check(rows, 100)) {
+    EXPECT_NE(ct.entity, person_);
+    EXPECT_NE(ct.entity, date_);
+  }
+}
+
+TEST_F(CandidateTypeRulesTest, AccumulatorGrowsAcrossManyTypes) {
+  // A column reaching more distinct types than the accumulator's first
+  // capacity, then a small one on the same thread: growth keeps every
+  // score, and the reset leaves nothing behind.
+  kg::KnowledgeGraph kg;
+  std::vector<kg::EntityId> cands;
+  for (int i = 0; i < 3; ++i) {
+    cands.push_back(kg.AddEntity({"C" + std::to_string(i), "c", {}, "",
+                                  false, false, false}));
+  }
+  for (int i = 0; i < 500; ++i) {
+    kg::EntityId t = kg.AddEntity(
+        {"T" + std::to_string(i), "t", {}, "", true, false, false});
+    kg.AddTriple(cands[0], kg::KnowledgeGraph::kInstanceOf, t);
+    if (i % 3 == 0) kg.AddTriple(cands[1], kg::KnowledgeGraph::kInstanceOf, t);
+    if (i % 7 == 0) kg.AddTriple(cands[2], kg::KnowledgeGraph::kInstanceOf, t);
+  }
+  ASSERT_TRUE(kg.Finalize().ok());
+  LinkerConfig config;
+  config.max_candidate_types = 1000;
+  std::vector<RowLinks> rows =
+      Rows({{cands[0], 1.5}, {cands[1], 0.25}, {cands[2], 3.0}});
+  std::vector<CandidateType> got = GenerateCandidateTypes(kg, rows, 0, config);
+  ExpectSameTypes(got, HashMapOracleCandidateTypes(kg, rows, 0, config),
+                  "many types");
+  EXPECT_GT(got.size(), 200u);
+  std::vector<RowLinks> small = Rows({{cands_[0], 1.0}, {cands_[1], 1.0}});
+  ExpectSameTypes(GenerateCandidateTypes(kg_, small, 0, config),
+                  HashMapOracleCandidateTypes(kg_, small, 0, config),
+                  "after many types");
 }
 
 }  // namespace

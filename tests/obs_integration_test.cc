@@ -88,7 +88,8 @@ TEST(ObsIntegrationTest, TraceAndMetricsCoverTrainingRun) {
   EXPECT_EQ(begins["part1.process"], tables);
   EXPECT_EQ(begins["part1.link_rows"], tables);
   EXPECT_EQ(begins["part1.row_filter"], tables);
-  EXPECT_EQ(begins["part1.column_features"], tables);
+  EXPECT_EQ(begins["part1.candidate_types"], tables);
+  EXPECT_EQ(begins["part1.feature_sequence"], tables);
   // LinkRow's two halves, cell linking and the Eq. 3/6 overlap step, once
   // per row of every processed table.
   int rows = split.test.tables[0].table.num_rows();
